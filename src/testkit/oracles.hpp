@@ -106,6 +106,7 @@ struct Oracle {
 
 /// The registry, in fixed order:
 ///  - ldel_invariants:   LDel planarity, edges within radius, connectivity,
+///                       Euler's formula on the hull-augmented faces,
 ///                       1.998-spanner samples vs graph::dijkstra
 ///  - hull_invariants:   hull convexity/containment, hull_groups agreement
 ///                       with pairwise disjointness detection

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "geom/polygon.hpp"
+#include "geom/predicates.hpp"
 
 namespace hybrid::geom {
 namespace {
@@ -111,6 +113,46 @@ TEST(ConvexHull, IndicesMatchPositions) {
   ASSERT_NE(it, fromIdx.end());
   std::rotate(fromIdx.begin(), it, fromIdx.end());
   EXPECT_EQ(fromIdx, pos);
+}
+
+TEST(ConvexHull, BoundaryKeepsCollinearPoints) {
+  // Points on a small integer grid: many lie on hull edges, including the
+  // vertical end columns where a monotone chain is easy to get wrong.
+  std::mt19937 rng(5);
+  std::uniform_int_distribution<int> coord(0, 4);
+  for (int it = 0; it < 300; ++it) {
+    std::vector<Vec2> pts(3 + it % 12);
+    for (auto& p : pts) p = {static_cast<double>(coord(rng)), static_cast<double>(coord(rng))};
+    const Polygon strict(convexHull(pts));
+    const auto ring = convexHullBoundaryIndices(pts);
+    if (strict.size() < 3) {
+      EXPECT_TRUE(ring.empty());
+      continue;
+    }
+    // Exactly the distinct points on the hull boundary, each once, in ccw
+    // order, with no point strictly inside a segment of the ring.
+    std::vector<Vec2> onHull;
+    for (const Vec2 p : pts) {
+      if (strict.onBoundary(p)) onHull.push_back(p);
+    }
+    std::sort(onHull.begin(), onHull.end());
+    onHull.erase(std::unique(onHull.begin(), onHull.end()), onHull.end());
+    std::vector<Vec2> got;
+    for (int i : ring) got.push_back(pts[static_cast<std::size_t>(i)]);
+    EXPECT_GT(Polygon(got).signedArea2(), 0.0);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const Vec2 a = got[i];
+      const Vec2 b = got[(i + 1) % got.size()];
+      for (const Vec2 p : pts) {
+        EXPECT_FALSE(p != a && p != b && onSegment(a, b, p)) << "segment runs through a point";
+      }
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, onHull);
+  }
+  EXPECT_TRUE(convexHullBoundaryIndices({{0, 0}, {1, 1}, {2, 2}, {3, 3}}).empty());
+  EXPECT_TRUE(convexHullBoundaryIndices({{1, 1}, {2, 2}}).empty());
+  EXPECT_TRUE(convexHullBoundaryIndices({}).empty());
 }
 
 TEST(ConvexHull, MergeEqualsHullOfUnion) {
