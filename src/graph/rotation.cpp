@@ -6,17 +6,18 @@
 
 namespace hybrid::graph {
 
-RotationSystem::RotationSystem(const GeometricGraph& g) : g_(g) {
-  order_.resize(g.numNodes());
+void sortCcw(const GeometricGraph& g, NodeId at, std::span<NodeId> nbrs) {
+  const geom::Vec2 pa = g.position(at);
+  std::sort(nbrs.begin(), nbrs.end(), [&](NodeId a, NodeId b) {
+    return geom::directionAngle(pa, g.position(a)) < geom::directionAngle(pa, g.position(b));
+  });
+}
+
+RotationSystem::RotationSystem(const GeometricGraph& g) : g_(g), order_(g.numNodes()) {
   for (NodeId v = 0; v < static_cast<NodeId>(g.numNodes()); ++v) {
-    auto nbrs = g.neighbors(v);
-    std::vector<NodeId> sorted(nbrs.begin(), nbrs.end());
-    const geom::Vec2 pv = g.position(v);
-    std::sort(sorted.begin(), sorted.end(), [&](NodeId a, NodeId b) {
-      return geom::directionAngle(pv, g.position(a)) <
-             geom::directionAngle(pv, g.position(b));
-    });
-    order_[static_cast<std::size_t>(v)] = std::move(sorted);
+    auto& o = order_[static_cast<std::size_t>(v)];
+    o.assign(g.neighbors(v).begin(), g.neighbors(v).end());
+    sortCcw(g, v, o);
   }
 }
 

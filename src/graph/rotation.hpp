@@ -1,10 +1,15 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace hybrid::graph {
+
+/// Sorts `nbrs` counter-clockwise by their direction from `at`: the one
+/// angular order that face walks and face-routing traversals share.
+void sortCcw(const GeometricGraph& g, NodeId at, std::span<NodeId> nbrs);
 
 /// Rotation system of a plane-embedded graph: per node, its neighbors in
 /// counter-clockwise angular order, with successor/predecessor queries.

@@ -1,9 +1,10 @@
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "geom/polygon.hpp"
-#include "graph/graph.hpp"
+#include "graph/planar_faces.hpp"
 
 namespace hybrid::holes {
 
@@ -24,10 +25,14 @@ struct Hole {
 
 /// Result of the hole detection step.
 struct HoleAnalysis {
-  std::vector<Hole> holes;
-  std::vector<graph::NodeId> outerBoundary;  ///< Outer face walk (clockwise).
-  std::vector<char> isHoleNode;              ///< Per-node flag.
-  std::vector<std::vector<int>> holesOfNode; ///< Hole indices per node.
+  std::vector<Hole> holes;                    ///< Inner holes, then outer holes.
+  std::vector<graph::NodeId> outerBoundary;   ///< Outer face walk (clockwise).
+  std::vector<char> isHoleNode;               ///< Per-node flag.
+  std::vector<std::vector<int>> holesOfNode;  ///< Hole indices per node.
+  /// The faces of LDel^2 plus its long hull edges; every hole is one of them.
+  std::shared_ptr<const graph::PlanarFaces> faces;
+  std::vector<int> holeOfFace;  ///< Hole index per face; -1 for the others.
+  double radius = 1.0;          ///< The radius the hull edges were chosen by.
 
   /// Hole polygons, in hole order — the obstacle set for visibility tests.
   std::vector<geom::Polygon> holePolygons() const;

@@ -23,7 +23,8 @@ bool ChewRouter::extend(std::vector<graph::NodeId>& path, graph::NodeId target,
                         int* blockedHole) const {
   if (blockedHole != nullptr) *blockedHole = -1;
   if (path.empty()) return false;
-  const std::size_t maxSteps = 8 * sub_.faces().size() + 64;
+  const graph::PlanarFaces& faces = sub_.faces();
+  const std::size_t maxSteps = 8 * static_cast<std::size_t>(faces.numFaces()) + 64;
 
   for (std::size_t outer = 0; outer < maxSteps; ++outer) {
     graph::NodeId cur = path.back();
@@ -68,11 +69,11 @@ bool ChewRouter::extend(std::vector<graph::NodeId>& path, graph::NodeId target,
     }
 
     // Triangle corridor walk along the fixed segment (ps, pt).
-    std::pair<graph::NodeId, graph::NodeId> prevEdge{-1, -1};
+    int entry = -1;  // the half-edge the walk entered the face over
     double entryParam = 0.0;
     bool restart = false;
     for (std::size_t inner = 0; inner < maxSteps; ++inner) {
-      const auto& cycle = sub_.faces()[static_cast<std::size_t>(face)].cycle;
+      const auto cycle = faces.cycle(face);
 
       // Target is a corner of the current triangle: final hop.
       if (std::find(cycle.begin(), cycle.end(), target) != cycle.end()) {
@@ -96,29 +97,28 @@ bool ChewRouter::extend(std::vector<graph::NodeId>& path, graph::NodeId target,
 
       // Exit edge: the boundary edge properly crossed by (ps, pt) beyond
       // the entry parameter.
-      int exitA = -1;
-      int exitB = -1;
+      const auto edges = faces.halfEdges(face);
+      int exitEdge = -1;
       double exitParam = 0.0;
       for (std::size_t i = 0; i < cycle.size(); ++i) {
+        const int h = edges[i];
+        if (h == entry) continue;
         const graph::NodeId a = cycle[i];
-        const graph::NodeId b = cycle[(i + 1) % cycle.size()];
-        if ((a == prevEdge.first && b == prevEdge.second) ||
-            (a == prevEdge.second && b == prevEdge.first)) {
-          continue;
-        }
+        const graph::NodeId b = faces.head(h);
         const geom::Segment e{g_.position(a), g_.position(b)};
         if (!geom::segmentsCrossProperly({ps, pt}, e)) continue;
         const auto ip = geom::segmentIntersectionPoint({ps, pt}, e);
         if (!ip) continue;
         const double tp = paramAlong(ps, pt, *ip);
         if (tp <= entryParam - 1e-12) continue;
-        if (exitA < 0 || tp < exitParam) {
-          exitA = a;
-          exitB = b;
+        if (exitEdge < 0 || tp < exitParam) {
+          exitEdge = h;
           exitParam = tp;
         }
       }
-      if (exitA < 0) return false;  // numerical corner case; caller falls back
+      if (exitEdge < 0) return false;  // numerical corner case; caller falls back
+      const graph::NodeId exitA = faces.tail(exitEdge);
+      const graph::NodeId exitB = faces.head(exitEdge);
 
       // Keep the message on the crossed edge: hop to one of its endpoints
       // if not already there (all corners of a triangle are adjacent).
@@ -131,19 +131,14 @@ bool ChewRouter::extend(std::vector<graph::NodeId>& path, graph::NodeId target,
         cur = next;
       }
 
-      const int fLeft = sub_.faceLeftOf(exitA, exitB);
-      const int fRight = sub_.faceLeftOf(exitB, exitA);
-      const int nextFace = (fLeft == face) ? fRight : fLeft;
-      if (nextFace < 0 || sub_.isOuterFace(nextFace)) {
-        return false;  // corridor leaves the hull of V
-      }
-      if (!sub_.isWalkable(nextFace)) {
-        if (blockedHole != nullptr) *blockedHole = sub_.holeOfFace(nextFace);
+      entry = faces.twin(exitEdge);
+      face = faces.faceOf(entry);
+      if (sub_.isOuterFace(face)) return false;  // corridor leaves the hull of V
+      if (!sub_.isWalkable(face)) {
+        if (blockedHole != nullptr) *blockedHole = sub_.holeOfFace(face);
         return false;  // cur sits on the hole boundary edge (exitA, exitB)
       }
-      prevEdge = {exitA, exitB};
       entryParam = exitParam;
-      face = nextFace;
     }
     if (!restart) return false;
   }

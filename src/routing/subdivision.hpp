@@ -1,9 +1,5 @@
 #pragma once
 
-#include <map>
-#include <set>
-#include <vector>
-
 #include "graph/graph.hpp"
 #include "graph/planar_faces.hpp"
 #include "holes/hole_detection.hpp"
@@ -15,44 +11,37 @@ namespace hybrid::routing {
 /// bounded face). Faces are classified as walkable triangles (all three
 /// edges are real communication edges) or hole faces (radio holes and
 /// outer holes); corridor routing walks triangles and stops at hole faces.
+///
+/// A view of the face table the hole analysis was read from: `ldel` and
+/// `analysis` must outlive it.
 class PlanarSubdivision {
  public:
-  PlanarSubdivision(const graph::GeometricGraph& ldel,
-                    const holes::HoleAnalysis& analysis, double radius = 1.0);
+  /// `radius` must be the radius `analysis` was detected with.
+  PlanarSubdivision(const graph::GeometricGraph& ldel, const holes::HoleAnalysis& analysis,
+                    double radius = 1.0);
 
-  const graph::GeometricGraph& augmented() const { return augmented_; }
-  const std::vector<graph::Face>& faces() const { return faces_; }
+  const graph::PlanarFaces& faces() const { return faces_; }
 
-  /// Face on the left of the directed edge (u, v); -1 if unknown.
+  /// Face on the left of the directed edge (u, v); -1 if there is no such edge.
   int faceLeftOf(graph::NodeId u, graph::NodeId v) const;
 
-  /// Faces incident to a node.
-  const std::vector<int>& facesOfNode(graph::NodeId v) const {
-    return nodeFaces_[static_cast<std::size_t>(v)];
+  bool isWalkable(int face) const {
+    return !faces_.isOuter(face) && !faces_.touchesHull(face) && faces_.cycle(face).size() == 3;
   }
-
-  bool isWalkable(int face) const { return walkable_[static_cast<std::size_t>(face)]; }
-  bool isOuterFace(int face) const { return faces_[static_cast<std::size_t>(face)].outer; }
+  bool isOuterFace(int face) const { return faces_.isOuter(face); }
 
   /// Index into the hole analysis for a hole face; -1 otherwise.
-  int holeOfFace(int face) const { return faceHole_[static_cast<std::size_t>(face)]; }
+  int holeOfFace(int face) const { return analysis_.holeOfFace[static_cast<std::size_t>(face)]; }
 
-  /// The bounded face containing point p strictly in its interior, or -1.
-  /// Linear scan; used for probes near a known node via facesOfNode.
-  int boundedFaceContaining(geom::Vec2 p) const;
-
-  /// Among the faces incident to `v`, the one whose interior contains `p`
-  /// (p is expected to be a probe point just off `v`); -1 if none.
+  /// Among the bounded faces incident to `v`, the one whose interior
+  /// contains `p` (p is expected to be a probe point just off `v`); -1 if
+  /// none.
   int incidentFaceContaining(graph::NodeId v, geom::Vec2 p) const;
 
  private:
-  graph::GeometricGraph augmented_;
-  std::vector<graph::Face> faces_;
-  std::map<std::pair<graph::NodeId, graph::NodeId>, int> faceOfEdge_;
-  std::vector<std::vector<int>> nodeFaces_;
-  std::vector<char> walkable_;
-  std::vector<int> faceHole_;
-  std::vector<geom::Polygon> facePolys_;
+  const graph::GeometricGraph& g_;
+  const holes::HoleAnalysis& analysis_;
+  const graph::PlanarFaces& faces_;
 };
 
 }  // namespace hybrid::routing

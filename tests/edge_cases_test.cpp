@@ -37,6 +37,9 @@ TEST(EdgeCases, CollinearChain) {
   std::vector<geom::Vec2> pts;
   for (int i = 0; i < 12; ++i) pts.push_back({i * 0.6, 0.0});
   core::HybridNetwork net(pts);
+  // The chain's walk has zero area: it bounds no hole.
+  EXPECT_TRUE(net.holes().holes.empty());
+  EXPECT_EQ(net.holes().outerBoundary.size(), 22u);
   const auto r = net.route(0, 11);
   ASSERT_TRUE(r.delivered);
   EXPECT_NEAR(net.stretch(r, 0, 11), 1.0, 1e-9);
