@@ -262,6 +262,26 @@ TEST(FaultSemantics, CrashedReceiverLosesMessagesUntilRecovery) {
   EXPECT_GT(reliable.stats().retransmissions, 0);
 }
 
+TEST(FaultSemantics, DelayedMessageIsLostToACrashThatStartsBeforeItIsDue) {
+  const auto udg = lineGraph(2);
+  sim::FaultConfig cfg;
+  cfg.seed = 3;
+  cfg.adHocDelay = 1.0;              // every ad hoc message is deferred...
+  cfg.maxDelayRounds = 1;            // ...by exactly one round, to round 2
+  cfg.crashes.push_back({1, 2, 3});  // the receiver is down in round 2 only
+  sim::Simulator s(udg, sim::FaultPlan(cfg));
+  s.enableTrace();
+  FloodProtocol flood(udg.numNodes());
+  s.run(flood);
+  // A message cannot outlive its receiver: the crash check runs again
+  // when the delayed token falls due, and the loss is the sender's.
+  EXPECT_EQ(flood.reached(), 1);
+  EXPECT_EQ(s.trace(), "R1 DL 0>1 a t7 q-1 i42\nR2 XC 0>1 a t7 q-1 i42\n");
+  EXPECT_EQ(s.stats()[0].delayed, 1);
+  EXPECT_EQ(s.stats()[0].droppedAdHoc, 1);
+  EXPECT_EQ(s.totalDropped(), 1);
+}
+
 namespace longrange {
 
 // Node 0 pushes one long-range token to node 1 per round, `total` times.
