@@ -7,6 +7,7 @@
 // pipeline and the bay dominating sets — on a fresh faulty simulator and
 // verifies the LDel output still matches the fault-free oracle exactly.
 // The loss=0 row is the baseline; overhead columns are ratios against it.
+// Exits 1 when any row's LDel output is not exact.
 // The LDel phase additionally carries a round budget equal to its
 // fault-free round count, demonstrating the simulator's overrun report.
 
@@ -104,6 +105,7 @@ int main() {
       "  \"retryPolicy\": {\"baseTimeout\": 3, \"maxTimeout\": 32, \"maxAttempts\": 16},\n");
   std::printf("  \"sweep\": [\n");
   bool first = true;
+  bool allExact = true;
   for (const double loss : lossRates) {
     const SweepRow row =
         loss == 0.0 ? baseline : runAtLossRate(net, loss, baseline.ldelRounds);
@@ -128,7 +130,9 @@ int main() {
                 row.ldelExact ? "true" : "false", row.ldelBudget.budget,
                 row.ldelBudget.roundsUsed, row.ldelBudget.overrun ? "true" : "false",
                 row.ldelBudget.overrunRounds());
+    allExact = allExact && row.ldelExact;
   }
   std::printf("\n  ]\n}\n");
-  return 0;
+  // A lossy run that misses the fault-free LDel is a wrong answer.
+  return allExact ? 0 : 1;
 }

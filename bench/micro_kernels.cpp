@@ -190,8 +190,9 @@ void BM_DeliveryOrderStableSort(benchmark::State& state) {
 }
 BENCHMARK(BM_DeliveryOrderStableSort)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
-// This PR's ordering: two stable counting passes (by sender, then by
-// recipient), O(m + n) with reused scratch — what Simulator::sortInbox does.
+// Two stable counting passes (by sender, then by recipient), O(m + n) with
+// reused scratch: the whole-inbox sort serial simulator runs used before
+// every run moved onto destination-sharded delivery.
 void BM_DeliveryOrderCountingSort(benchmark::State& state) {
   const int n = 10000;
   const auto traffic = randomTraffic(static_cast<std::size_t>(state.range(0)), n, 7);

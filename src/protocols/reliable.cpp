@@ -32,13 +32,13 @@ ReliableProtocol::~ReliableProtocol() {
   });
 }
 
-bool ReliableProtocol::onSend(sim::Message& m, int round) {
-  if (m.relCtl) return true;  // our own acks pass through untouched
+void ReliableProtocol::onSend(sim::Message& m, int round) {
+  if (m.relCtl) return;  // our own acks pass through untouched
   NodeState& s = st_[static_cast<std::size_t>(m.from)];
   if (m.relSeq >= 0) {
     // A retransmission we initiated in onRoundEnd; already tracked.
     ++s.counters.retransmissions;
-    return true;
+    return;
   }
   const int seq = s.nextSeqOut[m.to]++;
   m.relSeq = seq;
@@ -47,7 +47,6 @@ bool ReliableProtocol::onSend(sim::Message& m, int round) {
   p.timeout = policy_.baseTimeout;
   p.nextRetry = round + p.timeout;
   p.attempts = 1;
-  return true;
 }
 
 void ReliableProtocol::onStart(sim::Context& ctx) { inner_.onStart(ctx); }

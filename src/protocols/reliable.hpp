@@ -52,7 +52,8 @@ class ReliableProtocol : public sim::Protocol, public sim::SendTap {
   void onRoundEnd(sim::Context& ctx) override;
   bool wantsMoreRounds() const override;
 
-  bool onSend(sim::Message& m, int round) override;
+  /// Runs on the sender's worker and touches only the sender's state.
+  void onSend(sim::Message& m, int round) override;
 
   /// Sums the per-node counters; cheap (one pass over nodes).
   ReliableStats stats() const;

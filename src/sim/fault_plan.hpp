@@ -24,8 +24,9 @@ struct Blackout {
 
 /// Knobs of the deterministic fault model. All probabilities are per
 /// message; every decision is a pure function of (seed, delivery round,
-/// per-round send index), so the same seed always reproduces the same
-/// fault schedule — failures are bisectable.
+/// stream position), where the simulator's stream position is the sender
+/// and its send index in its round. The same seed always reproduces the
+/// same fault schedule, at any thread count — failures are bisectable.
 struct FaultConfig {
   std::uint64_t seed = 0;
   double adHocDrop = 0.0;       ///< P(lose an ad hoc message).
@@ -41,9 +42,8 @@ struct FaultConfig {
 enum class FaultAction { Deliver, Drop, Duplicate, Delay };
 
 /// Seeded, stateless fault schedule. The default-constructed plan is
-/// inactive: the simulator takes the exact fault-free code path, so a plan
-/// with all rates zero and no crashes/blackouts is bit-identical to no
-/// plan at all.
+/// inactive: the simulator decides no fates at all, so a plan with all
+/// rates zero and no crashes/blackouts is bit-identical to no plan.
 class FaultPlan {
  public:
   FaultPlan() = default;
@@ -57,10 +57,12 @@ class FaultPlan {
   bool crashed(int node, int round) const;
   bool blackedOut(int round) const;
 
-  /// Decides the fate of the `index`-th message delivered in `round`
-  /// (index = position in the round's deterministic send order). Crash
-  /// and blackout losses are handled by the simulator before this is
-  /// consulted. On Delay, `*delayRounds` gets the extra rounds (>= 1).
+  /// Decides the fate of the message at stream position `index` that is
+  /// due in `round`. The simulator passes (sender << 32) | the sender's
+  /// send index in its round, on the sender's worker;
+  /// serve::FaultyUpdateStream passes its batch index. Crash and blackout
+  /// losses are handled by the caller before this is consulted. On Delay,
+  /// `*delayRounds` gets the extra rounds (>= 1).
   FaultAction decide(int round, std::size_t index, const Message& m,
                      int* delayRounds) const;
 

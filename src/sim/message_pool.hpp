@@ -19,11 +19,12 @@ class MessagePool {
   using Handle = std::uint32_t;
   static constexpr Handle kInvalid = 0xFFFFFFFFu;
 
-  /// Returns a clean slot (payloads empty, header fields at defaults),
-  /// reusing a released one when available.
+  /// Returns a clean slot (payloads empty, capacity kept; header fields at
+  /// defaults), reusing the most recently released one when available.
   Handle acquire();
 
-  /// Clears the slot's payload sizes (capacity kept) and recycles it.
+  /// Recycles the slot. acquire() clears it when it hands it out again, so
+  /// releasing touches only the freelist.
   void release(Handle h);
 
   Message& get(Handle h) { return slabs_[h >> kSlabBits][h & kSlabMask]; }

@@ -36,15 +36,14 @@ struct RoundBudgetReport {
   int overrunRounds() const { return overrun ? roundsUsed - budget : 0; }
 };
 
-/// Observes (and may swallow) every protocol send before it is queued.
-/// The reliable transport registers one to attach sequence numbers. Taps
-/// run at outbox-merge time, on the simulator's driving thread, in
-/// deterministic send order — never concurrently.
+/// Observes every protocol send before it is staged. The reliable
+/// transport registers one to attach sequence numbers. The tap runs on the
+/// sender's worker, in the sender's send order and concurrently with other
+/// senders' taps, so it may touch only the sender's (`m.from`'s) state.
 class SendTap {
  public:
   virtual ~SendTap() = default;
-  /// Return false to swallow the message (nothing is queued or counted).
-  virtual bool onSend(Message& m, int round) = 0;
+  virtual void onSend(Message& m, int round) = 0;
 };
 
 class Protocol;
@@ -65,16 +64,14 @@ class Protocol;
 ///
 /// Hot-path layout (see docs/PROTOCOLS.md, "Simulator internals"): in-flight
 /// messages live in slab/freelist MessagePools and circulate as 32-bit
-/// handles; delivery order is established by stable counting sorts in
-/// O(m + n) instead of an O(m log m) comparison sort. Fault-free parallel
-/// runs use destination-sharded delivery: each worker owns one contiguous
-/// node range, stages sends into its own cache-line-aligned shard (private
-/// pool + outbox, no locks, no merge on the driving thread) presorted by
-/// destination shard, and the next round's workers pull exactly their
-/// recipients' messages and order them by (recipient, sender, send index) —
-/// byte-identical to serial at any thread count. Faulty or tapped runs fall
-/// back to per-chunk outboxes merged in chunk order on the driving thread,
-/// which preserves the global send index the fault layer consumes.
+/// handles. Every run uses destination-sharded delivery; a serial run is
+/// one shard. Each worker owns one contiguous node range and stages its
+/// nodes' sends into its own cache-line-aligned shard (private pool +
+/// outbox, no locks, no merge on the driving thread). When it seals them
+/// at the end of a round it decides their fault fates and buckets them by
+/// destination shard; the next round's workers pull exactly their
+/// recipients' messages and order them by (recipient, sender, send index)
+/// — byte-identical at any thread count, faults included.
 class Simulator {
  public:
   explicit Simulator(const graph::GeometricGraph& udg);
@@ -139,35 +136,27 @@ class Simulator {
   SendTap* sendTap() const { return tap_; }
 
   /// Records every delivery and fault event of subsequent runs into an
-  /// append-only text trace. Two runs with equal seeds and protocols must
+  /// append-only text trace. Within a round, lines run in (recipient,
+  /// sender, send index) order, each fault line in the place of the
+  /// delivery it changed. Two runs with equal seeds and protocols must
   /// produce byte-identical traces (enforced by fault_injection_test), at
   /// any thread count (enforced by sim_threads_test).
   void enableTrace(bool on = true) { traceEnabled_ = on; }
   const std::string& trace() const { return trace_; }
   void clearTrace() { trace_.clear(); }
 
-  /// Test introspection into the sharded delivery path: shards retained
-  /// from the last fault-free parallel run (0 before any), and the slot
-  /// count of one shard's private MessagePool vs the shared serial pool.
+  /// Test introspection into sharded delivery: shards retained across runs
+  /// (0 before any), and the slot count of one shard's private MessagePool.
   std::size_t shardCount() const { return shards_.size(); }
   std::size_t shardPoolSlots(std::size_t s) const { return shards_[s].pool.slotCount(); }
-  std::size_t sharedPoolSlots() const { return pool_.slotCount(); }
 
  private:
   friend class Context;
 
-  /// Per-chunk staging for the legacy merge path (faulty or tapped runs):
-  /// sends and trace lines buffer here and are merged in chunk order on
-  /// the driving thread.
-  struct ChunkBuf {
-    std::vector<Message> outbox;
-    std::string trace;
-  };
-
-  /// Driving-thread-only tallies mirrored into the obs registry when a run
-  /// finishes (obs::enabled() runs only). Kept as plain longs so the hot
-  /// path pays one relaxed flag load per event, no atomics; flushing is
-  /// one registry update per run. Metrics never affect behavior.
+  /// Per-shard tallies mirrored into the obs registry when a run finishes
+  /// (obs::enabled() runs only). Kept as plain longs so the hot path pays
+  /// one relaxed flag load per event, no atomics; flushing is one registry
+  /// update per run. Metrics never affect behavior.
   struct ObsTally {
     long sentAdHoc = 0;
     long sentLongRange = 0;
@@ -176,74 +165,74 @@ class Simulator {
     long dropped = 0;
     long duplicated = 0;
     long delayed = 0;
-    long liveHighWater = 0;
   };
   /// Adds the run's tallies + pool/round stats to the global registry.
   void flushObs(int rounds);
 
-  /// One staged send of the destination-sharded path. `key` orders the
-  /// message for delivery, `msg` points into the staging shard's pool
-  /// (slab addresses are stable, so other workers may read the message
-  /// while the owner's pool grows), `handle` lets the owning shard recycle
-  /// the slot once the round it was delivered in has completed.
+  /// What the recipient's worker does with a send in its delivery round.
+  /// The sender's worker sets it when it seals the send; only faulty runs
+  /// see anything but Deliver.
+  enum class Fate : std::uint8_t { Deliver, Duplicate, Delay, Drop, Crash, Blackout };
+
+  /// One staged send. `key` orders the message for delivery, `msg` points
+  /// into the staging shard's pool (slab addresses are stable, so other
+  /// workers may read the message while the owner's pool grows), `handle`
+  /// lets the owning shard recycle the slot once it has been delivered.
   struct Staged {
     std::uint64_t key = 0;  ///< (to << 32) | from.
     Message* msg = nullptr;
     MessagePool::Handle handle = MessagePool::kInvalid;
+    Fate fate = Fate::Deliver;
   };
 
-  /// One worker's private world in a sharded run, aligned so two shards
-  /// never share a cache line. The worker that steps node range c is the
-  /// only writer of shard c: it stages its nodes' sends into `staging`
-  /// (presorted into `frozen` by destination shard at the end of each
-  /// phase) and appends its recipients' RX lines to `trace`. Other workers
-  /// only ever *read* a shard's `frozen`/`bucketStart` after a phase
-  /// barrier, so no locks are needed anywhere on the round path.
+  /// A delayed send, kept in its sender's shard until it falls due.
+  struct Deferred {
+    int due = 0;
+    Staged staged;
+  };
+
+  /// One worker's private world, aligned so two shards never share a cache
+  /// line. The worker that steps node range c is the only writer of shard
+  /// c: it stages its nodes' sends into `staging` (sealed into `frozen` by
+  /// destination shard at the end of each round) and appends its
+  /// recipients' trace lines to `trace`. Other workers only ever *read* a
+  /// shard's `frozen`/`bucketStart` after a phase barrier, so no locks are
+  /// needed anywhere on the round path.
   struct alignas(64) Shard {
     MessagePool pool;
-    std::vector<Staged> staging;  ///< This phase's sends, append order.
+    std::vector<Staged> staging;  ///< This round's sends, append order.
     std::vector<Staged> frozen;   ///< Sealed sends, bucketed by destination shard.
     std::vector<std::uint32_t> bucketStart;  ///< numShards+1 offsets into frozen.
-    std::vector<Staged> inbox;     ///< Delivery scratch: this shard's mail.
-    std::vector<Staged> inboxTmp;  ///< Delivery scratch: recipient-sorted mail.
+    std::vector<Deferred> delayed;  ///< Delayed sends not yet due, deferral order.
+    std::vector<Staged> inbox;      ///< This round's mail, delivery order.
     std::vector<std::uint32_t> counts;  ///< Counting-sort scratch.
-    std::string trace;                  ///< RX lines for this recipient range.
+    std::string trace;                  ///< Trace lines for this recipient range.
     ObsTally tally;
   };
 
-  /// Stats + tally + pool admission of one send on the staging worker
-  /// (sharded path; `sh` is the sender's own shard).
-  void stageSend(Shard& sh, Message&& m);
-  /// Stable counting sort of `staging` into `frozen`, bucketed by the
-  /// destination's shard; runs on the owning worker at the end of a phase.
-  void sealShard(Shard& sh, unsigned numShards);
+  /// Tap + stats + pool admission of one send, on the sender's worker.
+  void stageSend(Shard& sh, Message&& m, int round);
+  /// Decides the fates of the shard's staged sends for delivery in `round`
+  /// (faulty runs), appends its delayed sends that fall due then, and
+  /// buckets the lot into `frozen` by destination shard.
+  void sealShard(Shard& sh, int round);
+  /// Charges a lost, duplicated or delayed send to its sender.
+  void chargeFate(Shard& sh, const Message& m, Fate fate);
   /// Collects shard c's mail from every sealed shard, orders it by
   /// (recipient, sender, send index) and delivers it.
-  void deliverChunk(Protocol& protocol, std::size_t b, std::size_t e, unsigned c,
-                    unsigned numShards, int round);
-  /// Fault-free parallel rounds: destination-sharded, no driving-thread
-  /// merge. Returns rounds executed.
-  int runSharded(Protocol& protocol, int maxRounds, unsigned threads);
-
-  /// Tap + stats + pool admission for one staged send (merge time).
-  void finishSend(Message&& m);
-  /// Drains every chunk's trace buffer, then outbox, in chunk order.
-  void mergeChunks();
-  /// Stable counting sort of inbox_ into (recipient, sender, send-index)
-  /// order; falls back to an in-place insertion sort for tiny rounds.
-  void sortInbox();
-  /// Releases delivered handles (duplicates released once).
-  void releaseInbox();
+  void deliverChunk(Protocol& protocol, std::size_t b, std::size_t e, unsigned c, int round);
+  void deliver(Protocol& protocol, Shard& sh, const Message& m, int round);
+  /// Recycles the slots of `frozen` once its round has been delivered.
+  void releaseDelivered(Shard& sh);
   void releaseAllInFlight();
   void traceMessage(std::string& out, const char* tag, int round, const Message& m);
 
   const graph::GeometricGraph& udg_;
   std::vector<std::unordered_set<int>> knowledge_;
-  MessagePool pool_;
-  std::vector<MessagePool::Handle> pending_;  ///< Next round's mail, send order.
-  /// Messages deferred by the fault layer, with their due round.
-  std::vector<std::pair<int, MessagePool::Handle>> delayed_;
   std::vector<NodeStats> stats_;
+  /// Per node, sends so far in the round being sealed (faulty runs); the
+  /// sender's shard owns its entry.
+  std::vector<std::uint32_t> sendIndex_;
   FaultPlan faults_;
   RoundBudgetReport budget_;
   SendTap* tap_ = nullptr;
@@ -254,33 +243,20 @@ class Simulator {
   int threads_ = 1;
   int effectiveThreads_ = 1;
   bool allowOversubscribe_ = false;
-  ObsTally obsTally_;
+  long liveHighWater_ = 0;  ///< Obs only: most messages alive at a round start.
 
-  // Round-scratch buffers; capacity recycles across rounds.
-  std::vector<MessagePool::Handle> inbox_;
-  std::vector<MessagePool::Handle> sortTmp_;
-  std::vector<std::uint64_t> keys_;    ///< (to << 32 | from), aligned with inbox_.
-  std::vector<std::uint64_t> keyTmp_;  ///< Aligned with sortTmp_.
-  std::vector<std::uint32_t> counts_;
-  std::vector<ChunkBuf> chunks_;
-
-  // Sharded-path state; shards recycle their capacity across runs.
+  // Shards recycle their capacity across runs.
   std::vector<Shard> shards_;
-  std::size_t chunkNodes_ = 0;  ///< Nodes per shard of the current run.
+  std::size_t chunkNodes_ = 1;  ///< Nodes per shard of the current run.
+  unsigned numShards_ = 0;      ///< Shards of the current run.
 };
 
 /// Handle through which protocol code interacts with the simulator for one
-/// node within one round. Fault-free parallel runs stage sends straight
-/// into the stepping worker's shard (stats and pool admission happen on
-/// the worker, no merge); faulty or tapped runs stage into the chunk-local
-/// outbox and the simulator admits them at merge time in send order; in
-/// serial runs both are null and sends are admitted immediately, which is
-/// the same order without the staging move.
+/// node within one round. Sends stage straight into the stepping worker's
+/// shard: tap, stats and pool admission happen on that worker, no merge.
 class Context {
  public:
-  Context(Simulator& sim, int self, int round, std::vector<Message>* outbox)
-      : sim_(sim), self_(self), round_(round), outbox_(outbox) {}
-  Context(Simulator& sim, int self, int round, Simulator::Shard* shard)
+  Context(Simulator& sim, int self, int round, Simulator::Shard& shard)
       : sim_(sim), self_(self), round_(round), shard_(shard) {}
 
   int self() const { return self_; }
@@ -300,8 +276,7 @@ class Context {
   Simulator& sim_;
   int self_;
   int round_;
-  std::vector<Message>* outbox_ = nullptr;
-  Simulator::Shard* shard_ = nullptr;
+  Simulator::Shard& shard_;
 };
 
 /// A distributed protocol: per-node event handlers. Handlers may send

@@ -120,8 +120,10 @@ struct Oracle {
 ///                       length >= d(s,t)
 ///  - arq_vs_faultfree:  LDel construction over lossy ARQ transport vs the
 ///                       fault-free run
-///  - sim_delivery_parity: destination-sharded threaded simulator rounds
-///                       (trace + stats) vs the serial reference
+///  - sim_delivery_parity: simulator runs, fault-free and lossy under ARQ,
+///                       at 1, k and 2k threads: byte-identical traces and
+///                       stats, every trace in (round, recipient, sender)
+///                       order
 ///  - label_parity:      hub-label oracle vs the dense table: byte-identical
 ///                       rebuilds at other thread counts, sampled site-pair
 ///                       distances/paths vs Dijkstra ground truth, and
