@@ -48,6 +48,9 @@ struct Digests {
   std::uint64_t holes = 0;   ///< Hole rings, flags, outer boundary, holesOfNode.
   std::uint64_t faces = 0;   ///< Subdivision faces and their adjacency.
   std::uint64_t routes = 0;  ///< Six routers on 24 fixed pairs.
+  /// AllHoleNodes and LocallyConvexHull routers, each with a Delaunay and a
+  /// visibility overlay, on the same pairs.
+  std::uint64_t siteModes = 0;
   bool operator==(const Digests&) const = default;
 };
 
@@ -100,25 +103,37 @@ Digests digestOf(const scenario::Scenario& sc) {
   const routing::FaceGreedyRouter face(net.ldel(), net.subdivision(), net.holes());
   const routing::GoafrRouter goafr(net.ldel());
   const routing::Router* routers[] = {&net.router(), vis.get(), bbox.get(), &chew, &face, &goafr};
-  Digest routes;
-  for (const routing::Router* router : routers) {
+  const auto addRoutes = [&](Digest& d, const routing::Router& router) {
     for (const auto& p : pairs) {
-      const auto r = router->route(p.source, p.target);
-      routes.addAll(r.path);
-      routes.add(r.delivered);
-      routes.add(r.fallbacks);
-      routes.add(r.blockedHole);
-      routes.add(r.protocolCase);
+      const auto r = router.route(p.source, p.target);
+      d.addAll(r.path);
+      d.add(r.delivered);
+      d.add(r.fallbacks);
+      d.add(r.blockedHole);
+      d.add(r.protocolCase);
+    }
+  };
+  Digest routes;
+  for (const routing::Router* router : routers) addRoutes(routes, *router);
+  out.routes = routes.value();
+
+  Digest siteModes;
+  for (const auto sites : {routing::SiteMode::AllHoleNodes, routing::SiteMode::LocallyConvexHull}) {
+    for (const auto edges : {routing::EdgeMode::Delaunay, routing::EdgeMode::Visibility}) {
+      routing::HybridOptions options;
+      options.sites = sites;
+      options.edges = edges;
+      addRoutes(siteModes, *net.makeRouter(options));
     }
   }
-  out.routes = routes.value();
+  out.siteModes = siteModes.value();
   return out;
 }
 
 /// One row of kRecorded, ready to paste.
 std::string recordRow(const std::string& name, const Digests& d) {
   std::string row = "    {\"" + name + "\", {";
-  for (const std::uint64_t v : {d.holes, d.faces, d.routes}) {
+  for (const std::uint64_t v : {d.holes, d.faces, d.routes, d.siteModes}) {
     char hex[32];
     std::snprintf(hex, sizeof hex, "0x%016llxULL, ", static_cast<unsigned long long>(v));
     row += hex;
@@ -134,34 +149,34 @@ struct Entry {
 
 // clang-format off
 const std::vector<Entry> kRecorded = {
-    {"random_udg/1", {0x89d7df1e7c814521ULL, 0xe8bb01c09be0da79ULL, 0xd26e548ef65a28daULL}},
-    {"random_udg/2", {0x7a292c3d94e8918aULL, 0xc174ec4d4f2182d9ULL, 0x6442efac5b8c7d94ULL}},
-    {"random_udg/3", {0xcab1d611d94ff98fULL, 0x38b8a7c5981d5c7fULL, 0x418e119e1860c0daULL}},
-    {"maze_comb/1", {0x0053f7231333624aULL, 0xd9e16e6c8422ef6cULL, 0x195ee97e10dc68adULL}},
-    {"maze_comb/2", {0x2b547d744caf7334ULL, 0xfbec6deb81395795ULL, 0xa504586c1a933182ULL}},
-    {"maze_comb/3", {0x26c09b75158ec1c7ULL, 0xf39bfde74bf1f812ULL, 0x521acc43a5b607e7ULL}},
-    {"spiral/1", {0x42bcf88c7ff49950ULL, 0x0e7c157e873ce80aULL, 0x5abcb21be9b77d39ULL}},
-    {"spiral/2", {0xc3f8fc0a0492bd24ULL, 0x2c318061275625f1ULL, 0x2963c1060eb384aeULL}},
-    {"spiral/3", {0xc9e7fd2854e7566dULL, 0x1820214284b9c5d5ULL, 0xf78657c13da49b55ULL}},
-    {"collinear/1", {0x7504f8c352f524acULL, 0x60fd232deb419d04ULL, 0x5887dcfbca03c842ULL}},
-    {"collinear/2", {0xc13640458d5c7061ULL, 0x2a2eec03b2a9b5c4ULL, 0x127984627d96068cULL}},
-    {"collinear/3", {0xbdd476a6a76a9a6cULL, 0x5968de758f10984aULL, 0xc4b208928af0d819ULL}},
-    {"cocircular/1", {0xeca2cf3cc59d12e9ULL, 0x099e7b96448121fbULL, 0x2a50114d357f3ccaULL}},
-    {"cocircular/2", {0xdc0c7449938ce586ULL, 0x982a13fb3a01a141ULL, 0x701fde227e806896ULL}},
-    {"cocircular/3", {0x0806820be9e8abc1ULL, 0xbc484e7e564fc4ecULL, 0x9edb988989b42e5dULL}},
-    {"hull_tangent/1", {0xd2fb4a8e4a6c08ceULL, 0xe068d8507beffe3dULL, 0x6fe2c5ac5c85e24bULL}},
-    {"hull_tangent/2", {0x82392031ff9663a4ULL, 0x54739578b631365bULL, 0xa98e78c3b206a499ULL}},
-    {"hull_tangent/3", {0x6bb40dec2be5a1c5ULL, 0xc29d77ca16fb7d35ULL, 0xbb64792e92b0fc4eULL}},
-    {"hull_intersect/1", {0x4928ad73351328d3ULL, 0x081e71d5000116c6ULL, 0x881f2dc3aad3c50bULL}},
-    {"hull_intersect/2", {0x734c2972c32e2c9cULL, 0x3756f0d365647a5aULL, 0x3d2cdd61994a3b06ULL}},
-    {"hull_intersect/3", {0x66497f3d2583b966ULL, 0x41d9f067e00756d7ULL, 0xbb3cb5d9182e6830ULL}},
-    {"hull_chain/1", {0xc05bc10b4dd1ff7bULL, 0x3eb346a100e45e5fULL, 0xa5a395314dd6a317ULL}},
-    {"hull_chain/2", {0x9b7535dd7f0a7059ULL, 0xce9861c1d8d41f6aULL, 0xa17cff6f0ab4048dULL}},
-    {"hull_chain/3", {0xdb722e80ba2209fcULL, 0x5f6eac0c7fec4864ULL, 0xfed3805048b1247bULL}},
-    {"hull_nest/1", {0x2effbede4a8c1165ULL, 0xfefdbf7eb09ec3cbULL, 0x1c9309d917c14afcULL}},
-    {"hull_nest/2", {0x2780a992aca58f01ULL, 0xd2390c67bfab9ca2ULL, 0x2204e7c47b98ba91ULL}},
-    {"hull_nest/3", {0x6f9dd4a7234e0837ULL, 0x09e472275caf8cd3ULL, 0x098d2fc51511ead1ULL}},
-    {"convex_holes_700/1", {0x3fa974d71f2df734ULL, 0x8a67f65ecadd73e8ULL, 0xa67a8fab706d210cULL}},
+    {"random_udg/1", {0x89d7df1e7c814521ULL, 0xe8bb01c09be0da79ULL, 0xd26e548ef65a28daULL, 0x6754a4b048b26d8dULL}},
+    {"random_udg/2", {0x7a292c3d94e8918aULL, 0xc174ec4d4f2182d9ULL, 0x6442efac5b8c7d94ULL, 0xc16c810148a836ddULL}},
+    {"random_udg/3", {0xcab1d611d94ff98fULL, 0x38b8a7c5981d5c7fULL, 0x418e119e1860c0daULL, 0x4101cc7bfc1f88a5ULL}},
+    {"maze_comb/1", {0x0053f7231333624aULL, 0xd9e16e6c8422ef6cULL, 0x195ee97e10dc68adULL, 0x42454421885b2ff1ULL}},
+    {"maze_comb/2", {0x2b547d744caf7334ULL, 0xfbec6deb81395795ULL, 0xa504586c1a933182ULL, 0x8a30732746d6824dULL}},
+    {"maze_comb/3", {0x26c09b75158ec1c7ULL, 0xf39bfde74bf1f812ULL, 0x521acc43a5b607e7ULL, 0x5f74d57bd08a6cb5ULL}},
+    {"spiral/1", {0x42bcf88c7ff49950ULL, 0x0e7c157e873ce80aULL, 0x5abcb21be9b77d39ULL, 0x9faed3fb833538f5ULL}},
+    {"spiral/2", {0xc3f8fc0a0492bd24ULL, 0x2c318061275625f1ULL, 0x2963c1060eb384aeULL, 0x220639b93728f24aULL}},
+    {"spiral/3", {0xc9e7fd2854e7566dULL, 0x1820214284b9c5d5ULL, 0xf78657c13da49b55ULL, 0xebe052015be3c159ULL}},
+    {"collinear/1", {0x7504f8c352f524acULL, 0x60fd232deb419d04ULL, 0x5887dcfbca03c842ULL, 0xffe393f0c0d238e5ULL}},
+    {"collinear/2", {0xc13640458d5c7061ULL, 0x2a2eec03b2a9b5c4ULL, 0x127984627d96068cULL, 0x480fe050631373e5ULL}},
+    {"collinear/3", {0xbdd476a6a76a9a6cULL, 0x5968de758f10984aULL, 0xc4b208928af0d819ULL, 0xa4e3f079d1cc5a25ULL}},
+    {"cocircular/1", {0xeca2cf3cc59d12e9ULL, 0x099e7b96448121fbULL, 0x2a50114d357f3ccaULL, 0x971f9fc0cae9bf05ULL}},
+    {"cocircular/2", {0xdc0c7449938ce586ULL, 0x982a13fb3a01a141ULL, 0x701fde227e806896ULL, 0x8dcf2be72a42fd65ULL}},
+    {"cocircular/3", {0x0806820be9e8abc1ULL, 0xbc484e7e564fc4ecULL, 0x9edb988989b42e5dULL, 0x9d8d5bab61882425ULL}},
+    {"hull_tangent/1", {0xd2fb4a8e4a6c08ceULL, 0xe068d8507beffe3dULL, 0x6fe2c5ac5c85e24bULL, 0x19d46846d2b9ec35ULL}},
+    {"hull_tangent/2", {0x82392031ff9663a4ULL, 0x54739578b631365bULL, 0xa98e78c3b206a499ULL, 0xae28877b84b8cd45ULL}},
+    {"hull_tangent/3", {0x6bb40dec2be5a1c5ULL, 0xc29d77ca16fb7d35ULL, 0xbb64792e92b0fc4eULL, 0x45cc985960a2c4fdULL}},
+    {"hull_intersect/1", {0x4928ad73351328d3ULL, 0x081e71d5000116c6ULL, 0x881f2dc3aad3c50bULL, 0xcf011f359b2f4ca4ULL}},
+    {"hull_intersect/2", {0x734c2972c32e2c9cULL, 0x3756f0d365647a5aULL, 0x3d2cdd61994a3b06ULL, 0x5d917fc0e93e1705ULL}},
+    {"hull_intersect/3", {0x66497f3d2583b966ULL, 0x41d9f067e00756d7ULL, 0xbb3cb5d9182e6830ULL, 0x0a94776f8260aac1ULL}},
+    {"hull_chain/1", {0xc05bc10b4dd1ff7bULL, 0x3eb346a100e45e5fULL, 0xa5a395314dd6a317ULL, 0xbffe5e1f636d36b5ULL}},
+    {"hull_chain/2", {0x9b7535dd7f0a7059ULL, 0xce9861c1d8d41f6aULL, 0xa17cff6f0ab4048dULL, 0x4fa3d557f1864b65ULL}},
+    {"hull_chain/3", {0xdb722e80ba2209fcULL, 0x5f6eac0c7fec4864ULL, 0xfed3805048b1247bULL, 0xd8edac80999880f1ULL}},
+    {"hull_nest/1", {0x2effbede4a8c1165ULL, 0xfefdbf7eb09ec3cbULL, 0x1c9309d917c14afcULL, 0x25e45a70090cb1e1ULL}},
+    {"hull_nest/2", {0x2780a992aca58f01ULL, 0xd2390c67bfab9ca2ULL, 0x2204e7c47b98ba91ULL, 0x55f53d282872da55ULL}},
+    {"hull_nest/3", {0x6f9dd4a7234e0837ULL, 0x09e472275caf8cd3ULL, 0x098d2fc51511ead1ULL, 0x0a7154e9ac515275ULL}},
+    {"convex_holes_700/1", {0x3fa974d71f2df734ULL, 0x8a67f65ecadd73e8ULL, 0xa67a8fab706d210cULL, 0x8a0dc06bdbe494b4ULL}},
 };
 // clang-format on
 
