@@ -3,12 +3,15 @@
 // Random deployments with disjoint convex radio holes; 200 random s-t pairs
 // per instance. Reports delivery rate and path stretch (path length divided
 // by the shortest UDG path, the paper's competitive ratio) for the local
-// baselines and all four abstraction/overlay configurations.
+// baselines and the paper's abstraction/overlay configurations.
 //
 // Expected shape: greedy loses packets at holes; compass loops; the
 // GOAFR-style face-greedy baseline delivers with noticeably larger stretch;
 // every hybrid configuration stays a small constant, flat in n, far below
 // the worst-case ceilings (17.7 visibility / 35.37 overlay Delaunay).
+//
+// Exits 1 when a paper configuration (the S3, S4 and S4.1 rows) delivers
+// less than 100% of its pairs or its max stretch exceeds its ceiling.
 
 #include <memory>
 
@@ -18,7 +21,13 @@
 
 using namespace hybrid;
 
+namespace {
+constexpr double kVisibilityCeiling = 17.7;  ///< Thm 1.2, visibility-graph overlay.
+constexpr double kDelaunayCeiling = 35.37;   ///< Thm 1.2, overlay Delaunay graph.
+}  // namespace
+
 int main() {
+  int failures = 0;
   std::printf("E1: competitive routing with hole abstractions\n");
   std::printf("%6s %8s %-22s %6s %8s %8s %8s %8s %6s\n", "n", "holes", "router", "deliv",
               "mean", "p50", "p95", "max", "fallbk");
@@ -42,28 +51,26 @@ int main() {
         {routing::SiteMode::AllHoleNodes, routing::EdgeMode::Visibility, true});
     auto lchDel = net.makeRouter(
         {routing::SiteMode::LocallyConvexHull, routing::EdgeMode::Delaunay, true});
-    auto dpDel = net.makeRouter(
-        {routing::SiteMode::SimplifiedBoundary, routing::EdgeMode::Delaunay, true});
-    auto prunedDel = net.makeRouter({routing::SiteMode::HullNodes,
-                                     routing::EdgeMode::Delaunay, true, false,
-                                     /*prunePaths=*/true});
+    auto prunedDel = net.makeRouter({.sites = routing::SiteMode::HullNodes,
+                                     .edges = routing::EdgeMode::Delaunay,
+                                     .prunePaths = true});
 
     struct Entry {
       routing::Router* router;
       const char* label;
+      double ceiling;  ///< Paper ceiling on max stretch; 0 for other rows.
     };
     const Entry entries[] = {
-        {&greedy, "greedy (baseline)"},
-        {&compass, "compass (baseline)"},
-        {&face, "face-greedy"},
-        {&goafr, "goafr+"},
-        {bndVis.get(), "S3 boundary+visgraph"},
-        {bndDel.get(), "S3 boundary+delaunay"},
-        {hullVis.get(), "S4 hulls+visgraph"},
-        {hullDel.get(), "S4 hulls+delaunay"},
-        {lchDel.get(), "S4.1 lch+delaunay"},
-        {dpDel.get(), "ext. dp+delaunay"},
-        {prunedDel.get(), "ext. hulls+del+prune"},
+        {&greedy, "greedy (baseline)", 0.0},
+        {&compass, "compass (baseline)", 0.0},
+        {&face, "face-greedy", 0.0},
+        {&goafr, "goafr+", 0.0},
+        {bndVis.get(), "S3 boundary+visgraph", kVisibilityCeiling},
+        {bndDel.get(), "S3 boundary+delaunay", kDelaunayCeiling},
+        {hullVis.get(), "S4 hulls+visgraph", kVisibilityCeiling},
+        {hullDel.get(), "S4 hulls+delaunay", kDelaunayCeiling},
+        {lchDel.get(), "S4.1 lch+delaunay", kDelaunayCeiling},
+        {prunedDel.get(), "ext. hulls+del+prune", 0.0},
     };
     for (const auto& e : entries) {
       const auto stats =
@@ -72,6 +79,12 @@ int main() {
                   net.ldel().numNodes(), net.holes().holes.size(), e.label,
                   100.0 * stats.deliveryRate(), stats.mean(), stats.percentile(0.5),
                   stats.percentile(0.95), stats.maxStretch(), stats.fallbacks);
+      if (e.ceiling > 0.0 &&
+          (stats.delivered < stats.attempts || stats.maxStretch() > e.ceiling)) {
+        std::printf("FAIL: %s breaks the paper bound at n=%zu\n", e.label,
+                    net.ldel().numNodes());
+        failures += 1;
+      }
     }
     std::printf("%6s overlay edges: visibility=%zu delaunay=%zu (sites hull=%zu bnd=%zu)\n",
                 "", hullVis->overlay().numPrecomputedEdges(),
@@ -81,5 +94,5 @@ int main() {
   }
   std::printf("paper ceilings: 5.9 (visible pairs), 17.7 (visibility graph), "
               "35.37 (overlay Delaunay)\n");
-  return 0;
+  return failures > 0 ? 1 : 0;
 }

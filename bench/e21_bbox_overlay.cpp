@@ -71,8 +71,8 @@ Measurement measureBestOf(long queries, Fn&& run) {
   return best;
 }
 
-/// The e11 "U swallowing a block" family scaled to ~n nodes: the block's
-/// hull sits inside the U's hull, so the hulls intersect on every seed.
+/// The "U swallowing a block" family scaled to ~n nodes: the block's hull
+/// sits inside the U's hull, so the hulls intersect on every seed.
 scenario::Scenario interlockedScenario(std::size_t n, unsigned seed) {
   scenario::ScenarioParams p = scenario::paramsForNodeCount(n + n / 3, seed);
   const double side = p.width;

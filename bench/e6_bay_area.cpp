@@ -4,7 +4,7 @@
 // pairs are sampled inside the bay (case 5 of the protocol). Lemma 4.19
 // bounds the competitive ratio by (2 + |E_route|) * 5.9, where E_route is
 // the set of extreme points traversed; we report the measured stretch and
-// check the bound pair by pair.
+// check the bound pair by pair. Exits 1 when any row has a violation.
 
 #include <random>
 
@@ -13,6 +13,7 @@
 using namespace hybrid;
 
 int main() {
+  int totalViolations = 0;
   std::printf("E6: routing inside a bay (case 5), U-shaped hole\n");
   std::printf("%7s %6s %7s | %8s %8s %8s | %9s %8s %9s\n", "width", "n", "pairs", "mean",
               "p95", "max", "maxEroute", "bound", "violates");
@@ -75,6 +76,7 @@ int main() {
     std::printf("%7.1f %6zu %7d | %8.3f %8.3f %8.3f | %9d %8.1f %9d\n", w,
                 net.udg().numNodes(), stats.attempts, stats.mean(), stats.percentile(0.95),
                 stats.maxStretch(), maxEroute, (2.0 + maxEroute) * 5.9, violations);
+    totalViolations += violations;
     std::printf("%7s %6s %7s | %8.3f %8.3f %8.3f | ablation: bay routing off "
                 "(fallbacks %d)\n",
                 "", "", "", statsNoBay.mean(), statsNoBay.percentile(0.95),
@@ -84,5 +86,5 @@ int main() {
   std::printf("expected: zero bound violations; measured stretch far below the\n"
               "(2+|E_route|)*5.9 worst-case guarantee of Lemma 4.19; disabling the\n"
               "bay machinery costs fallbacks (delivery via shortest-path rescue)\n");
-  return 0;
+  return totalViolations > 0 ? 1 : 0;
 }

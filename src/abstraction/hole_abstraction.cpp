@@ -4,7 +4,6 @@
 #include <set>
 
 #include "geom/angle.hpp"
-#include "geom/simplify.hpp"
 
 namespace hybrid::abstraction {
 
@@ -91,9 +90,6 @@ std::vector<HoleAbstraction> buildAbstractions(const graph::GeometricGraph& ldel
     }
 
     a.locallyConvexHull = locallyConvexHullOfRing(ldel, hole.ring, radius);
-    for (int idx : geom::douglasPeuckerRing(hole.polygon.vertices(), radius / 2.0)) {
-      a.simplifiedBoundary.push_back(hole.ring[static_cast<std::size_t>(idx)]);
-    }
     out.push_back(std::move(a));
   }
   return out;

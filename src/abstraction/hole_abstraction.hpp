@@ -24,10 +24,6 @@ struct HoleAbstraction {
   /// The locally convex hull (Def. 4.1): ring subsequence with all
   /// remaining reflex shortcuts longer than the radius.
   std::vector<graph::NodeId> locallyConvexHull;
-  /// Extension: Douglas-Peucker simplification of the ring (tolerance
-  /// radius/2) — an abstraction between the full boundary and the locally
-  /// convex hull, for the ablation in E1.
-  std::vector<graph::NodeId> simplifiedBoundary;
   /// One bay per consecutive hull pair that has intermediate ring nodes.
   std::vector<BayArea> bays;
   double bboxCircumference = 0.0;  ///< L(c): circumference of the hull's bounding box.

@@ -58,27 +58,13 @@ OverlayPlan HybridRouter::planOverlay(
         if (!hs.sites.empty()) plan.rings.push_back(hs.sites);
       }
     }
-  } else if (options.mergeIntersectingHulls && options.sites == SiteMode::HullNodes) {
-    plan.merged = true;
-    const auto groups = abstraction::mergeIntersectingHulls(ldel, abstractions);
-    plan.rings.reserve(groups.size());
-    for (const auto& g : groups) plan.rings.push_back(g.hullNodes);
-  } else if (options.sites != SiteMode::AllHoleNodes) {
-    for (const auto& a : abstractions) {
-      switch (options.sites) {
-        case SiteMode::LocallyConvexHull:
-          plan.rings.push_back(a.locallyConvexHull);
-          break;
-        case SiteMode::SimplifiedBoundary:
-          plan.rings.push_back(a.simplifiedBoundary);
-          break;
-        default:
-          plan.rings.push_back(a.hullNodes);
-          break;
-      }
-    }
-  } else {
+  } else if (options.sites == SiteMode::AllHoleNodes) {
     for (const auto& h : analysis.holes) plan.rings.push_back(h.ring);
+  } else {
+    const bool lch = options.sites == SiteMode::LocallyConvexHull;
+    for (const auto& a : abstractions) {
+      plan.rings.push_back(lch ? a.locallyConvexHull : a.hullNodes);
+    }
   }
   for (const auto& ring : plan.rings) {
     for (const graph::NodeId v : ring) plan.ringPositions.push_back(ldel.position(v));
@@ -106,40 +92,27 @@ HybridRouter::HybridRouter(const graph::GeometricGraph& ldel,
     // so a fresh build would reproduce it bit for bit — adopt the slab.
     overlay_ = overlayDonor->overlay_;
     adoptedOverlay_ = true;
-  } else if (overlayPlan_.bbox) {
+  } else {
     // Bbox sites are a sparse subset of each hole ring; consecutive sites
     // are reachable along the ring even when the straight chord crosses
     // the hole, so the backbone is declared ring-walkable.
-    overlay_ =
-        std::make_shared<const OverlayGraph>(ldel, overlayPlan_.rings, analysis.holePolygons(),
-                                             opt_.edges, opt_.table, /*ringBackbone=*/true);
-  } else if (overlayPlan_.merged) {
     overlay_ = std::make_shared<const OverlayGraph>(ldel, overlayPlan_.rings,
                                                     analysis.holePolygons(), opt_.edges,
-                                                    opt_.table);
-  } else {
-    overlay_ = std::make_shared<const OverlayGraph>(ldel, analysis, abstractions, opt_.sites,
-                                                    opt_.edges, opt_.table);
+                                                    opt_.table, /*ringBackbone=*/usesBBox_);
   }
 
+  // Mark the overlay sites; a hole node that intercepts a message walks
+  // the ring to the nearest one (§4.3).
   isHullNode_.assign(g_.numNodes(), 0);
+  for (const graph::NodeId v : overlay_->sites()) isHullNode_[static_cast<std::size_t>(v)] = 1;
   holeToAbstraction_.assign(analysis.holes.size(), -1);
   bayPolys_.resize(abstractions.size());
   for (std::size_t ai = 0; ai < abstractions.size(); ++ai) {
     const auto& a = abstractions[ai];
     if (a.holeIndex >= 0) holeToAbstraction_[static_cast<std::size_t>(a.holeIndex)] =
         static_cast<int>(ai);
-    // Bbox mode routes purely outside (boxes have no bays); its sites are
-    // marked from the overlay below, so the ring walk targets bbox sites.
+    // Bbox mode routes purely outside (boxes have no bays).
     if (usesBBox_) continue;
-    // Mark the abstraction nodes that double as overlay sites; the hole
-    // node that intercepts a message walks the ring to the nearest one.
-    const auto& siteRing = opt_.sites == SiteMode::LocallyConvexHull
-                               ? a.locallyConvexHull
-                               : (opt_.sites == SiteMode::SimplifiedBoundary
-                                      ? a.simplifiedBoundary
-                                      : a.hullNodes);
-    for (graph::NodeId v : siteRing) isHullNode_[static_cast<std::size_t>(v)] = 1;
     for (const auto& bay : a.bays) {
       bayDS_.push_back(abstraction::pathDominatingSet(bay.chain));
       std::vector<geom::Vec2> poly;
@@ -149,24 +122,14 @@ HybridRouter::HybridRouter(const graph::GeometricGraph& ldel,
       bayPolys_[ai].emplace_back(std::move(poly));
     }
   }
-  if (usesBBox_) {
-    for (const graph::NodeId v : overlay_->sites()) {
-      isHullNode_[static_cast<std::size_t>(v)] = 1;
-    }
-  }
 }
 
 std::string HybridRouter::name() const {
   std::string n = "boundary";
   if (opt_.sites == SiteMode::HullNodes) n = "hull";
   if (opt_.sites == SiteMode::LocallyConvexHull) n = "lch";
-  if (opt_.sites == SiteMode::SimplifiedBoundary) n = "dp";
   n += opt_.edges == EdgeMode::Delaunay ? "-delaunay" : "-visibility";
-  if (usesBBox_) {
-    n += "+bbox";
-  } else if (opt_.mergeIntersectingHulls) {
-    n += "+merged";
-  }
+  if (usesBBox_) n += "+bbox";
   return "hybrid-" + n;
 }
 

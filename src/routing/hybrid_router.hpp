@@ -17,10 +17,6 @@ struct HybridOptions {
   SiteMode sites = SiteMode::HullNodes;   ///< §4 (hulls) or §3 (all hole nodes).
   EdgeMode edges = EdgeMode::Delaunay;    ///< Overlay edges: O(h) vs Theta(h^2).
   bool bayRouting = true;                 ///< §4.4 cases 2-5 handling.
-  /// Extension (paper §7 future work): merge transitively intersecting
-  /// hulls into groups and build the overlay from the merged hulls. Only
-  /// meaningful with SiteMode::HullNodes.
-  bool mergeIntersectingHulls = false;
   /// Post-process delivered paths by shortcutting hops whose endpoints are
   /// directly connected (classic path pruning; every node on the path can
   /// apply it locally from its neighbor knowledge). Off by default so the
@@ -46,8 +42,7 @@ struct HybridOptions {
 /// captured separately because site ids alone do not pin the geometry when
 /// interior nodes churn between epochs.
 struct OverlayPlan {
-  bool bbox = false;    ///< Custom-ring build with ring-walkable backbone.
-  bool merged = false;  ///< Custom-ring build from merged hull groups.
+  bool bbox = false;  ///< Bounding-box sites with a ring-walkable backbone.
   SiteMode sites = SiteMode::HullNodes;
   EdgeMode edges = EdgeMode::Delaunay;
   TableMode table = TableMode::Auto;
@@ -94,8 +89,10 @@ class HybridRouter : public Router {
   bool adoptedDonorOverlay() const { return adoptedOverlay_; }
 
   /// Computes the overlay build inputs for (ldel, analysis, abstractions,
-  /// options) without building anything expensive; the constructor uses
-  /// the same function, so plan equality implies build equality.
+  /// options) without building anything expensive; the constructor builds
+  /// the overlay from exactly this plan, so plan equality implies build
+  /// equality. This is the one place that decides which rings feed the
+  /// overlay.
   static OverlayPlan planOverlay(const graph::GeometricGraph& ldel,
                                  const holes::HoleAnalysis& analysis,
                                  const std::vector<abstraction::HoleAbstraction>& abstractions,

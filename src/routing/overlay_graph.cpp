@@ -7,7 +7,6 @@
 #include <limits>
 #include <map>
 #include <mutex>
-#include <set>
 
 #include "delaunay/triangulation.hpp"
 #include "graph/dijkstra_workspace.hpp"
@@ -109,66 +108,6 @@ std::pair<std::size_t, std::size_t> OverlayGraph::setTableLimitsForTest(
 }
 
 OverlayGraph::OverlayGraph(const graph::GeometricGraph& ldel,
-                           const holes::HoleAnalysis& analysis,
-                           const std::vector<abstraction::HoleAbstraction>& abstractions,
-                           SiteMode siteMode, EdgeMode edgeMode, TableMode table)
-    : vis_(analysis.holePolygons()), edgeMode_(edgeMode), tableMode_(table) {
-  obs::ScopedSpan buildSpan("overlay.build");
-  // Collect sites and remember per-site local index.
-  std::map<graph::NodeId, int> local;
-  auto addSite = [&](graph::NodeId v) {
-    if (local.contains(v)) return local.at(v);
-    const int idx = static_cast<int>(sites_.size());
-    local[v] = idx;
-    sites_.push_back(v);
-    sitePos_.push_back(ldel.position(v));
-    return idx;
-  };
-
-  filterBackbone_ = siteMode == SiteMode::SimplifiedBoundary;
-  if (siteMode != SiteMode::AllHoleNodes) {
-    auto ringOf = [&](const abstraction::HoleAbstraction& a)
-        -> const std::vector<graph::NodeId>& {
-      switch (siteMode) {
-        case SiteMode::LocallyConvexHull:
-          return a.locallyConvexHull;
-        case SiteMode::SimplifiedBoundary:
-          return a.simplifiedBoundary;
-        default:
-          return a.hullNodes;
-      }
-    };
-    for (const auto& a : abstractions) {
-      for (graph::NodeId v : ringOf(a)) addSite(v);
-    }
-    // Backbone: consecutive abstraction nodes of the same hole.
-    for (const auto& a : abstractions) {
-      const auto& ring = ringOf(a);
-      for (std::size_t i = 0; i < ring.size(); ++i) {
-        const int u = local.at(ring[i]);
-        const int v = local.at(ring[(i + 1) % ring.size()]);
-        if (ring.size() > 1) backboneEdges_.emplace_back(u, v);
-      }
-    }
-  } else {
-    for (const auto& h : analysis.holes) {
-      for (graph::NodeId v : h.ring) addSite(v);
-    }
-    // Backbone: consecutive ring nodes of the same hole.
-    for (const auto& h : analysis.holes) {
-      for (std::size_t i = 0; i < h.ring.size(); ++i) {
-        const graph::NodeId a = h.ring[i];
-        const graph::NodeId b = h.ring[(i + 1) % h.ring.size()];
-        if (a != b) backboneEdges_.emplace_back(local.at(a), local.at(b));
-      }
-    }
-  }
-
-  buildSiteEdges();
-  buildSitePairTable();
-}
-
-OverlayGraph::OverlayGraph(const graph::GeometricGraph& ldel,
                            const std::vector<std::vector<graph::NodeId>>& siteRings,
                            std::vector<geom::Polygon> obstacles, EdgeMode edgeMode,
                            TableMode table, bool ringBackbone)
@@ -237,21 +176,14 @@ void OverlayGraph::buildSitePairTable() {
   const std::size_t h = sitePos_.size();
   // Delaunay queries re-triangulate with the endpoints inserted, so the
   // static site graph cannot answer them; only visibility mode serves
-  // incrementally. (With fewer than 3 points the Delaunay query graph
-  // degenerates to the visibility form, but such overlays are trivially
-  // cheap either way.)
-  if (edgeMode_ != EdgeMode::Visibility) {
-    incremental_ = false;
-    return;
-  }
-  incremental_ = true;
-  if (h == 0) return;
+  // from a site-pair backend.
+  if (edgeMode_ != EdgeMode::Visibility || h == 0) return;
 
   // Resolve the backend. Auto stays dense while the h^2 table is cheap
   // (below both the auto threshold and the dense cap) and switches to hub
   // labels above it; an explicit Dense request above the cap cannot be
-  // honored and falls back to the per-query rebuild path — loudly, because
-  // silently losing the serving engine is a large hidden regression.
+  // honored and resolves to hub labels — loudly, because the caller asked
+  // for a backend it did not get.
   bool wantLabels = false;
   switch (tableMode_) {
     case TableMode::Dense:
@@ -264,20 +196,18 @@ void OverlayGraph::buildSitePairTable() {
       break;
   }
   if (!wantLabels && h > denseCap()) {
-    incremental_ = false;
+    wantLabels = true;
     HYBRID_OBS_STMT(if (obs::enabled()) {
       obs::Registry::global().counter("overlay.table.fallbacks").add(1);
     });
     std::call_once(gFallbackLogOnce, [&] {
       std::fprintf(stderr,
                    "[overlay] dense site table refused: %zu sites exceed the cap of %zu; "
-                   "serving falls back to per-query rebuild (TableMode::HubLabels or "
-                   "Auto lifts the ceiling). This is a table-capacity fallback "
-                   "(overlay.table.fallbacks), distinct from the router's "
+                   "hub labels serve the request instead. This is a table-capacity "
+                   "fallback (overlay.table.fallbacks), distinct from the router's "
                    "hull-intersection A* splices (overlay.abstraction.fallbacks)\n",
                    h, denseCap());
     });
-    return;
   }
 
   siteCsr_ = graph::buildCsr(siteAdj_, sitePos_);
@@ -376,18 +306,14 @@ OverlayGraph::Query OverlayGraph::buildQueryGraph(geom::Vec2 from, geom::Vec2 to
   q.fromIdx = fromSite >= 0 ? fromSite : static_cast<int>(pts.size());
   if (fromSite < 0) pts.push_back(from);
   q.toIdx = toSite >= 0 ? toSite : static_cast<int>(pts.size());
-  if (toSite < 0 && !(from == to)) pts.push_back(to);
-  if (toSite < 0 && from == to) q.toIdx = q.fromIdx;
+  if (toSite < 0) pts.push_back(to);
 
   q.g = graph::GeometricGraph(pts);
   const int ns = static_cast<int>(sitePos_.size());
 
-  if (edgeMode_ == EdgeMode::Visibility || pts.size() < 3) {
-    for (int i = 0; i < ns; ++i) {
-      for (int j : siteAdj_[static_cast<std::size_t>(i)]) {
-        if (j > i) q.g.addEdge(i, j);
-      }
-    }
+  if (pts.size() < 3) {
+    // Too few points to triangulate (and fewer than three sites, so no site
+    // edges): link each temporary endpoint to every point it can see.
     for (const int endpoint : {q.fromIdx, q.toIdx}) {
       if (endpoint < ns) continue;  // endpoint is itself a site
       for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
@@ -398,13 +324,11 @@ OverlayGraph::Query OverlayGraph::buildQueryGraph(geom::Vec2 from, geom::Vec2 to
         }
       }
     }
-    // When both endpoints are existing sites the site adjacency covers them.
-    if (q.fromIdx < ns && q.toIdx < ns) return q;
     return q;
   }
 
-  // Delaunay mode: re-triangulate sites + endpoints and prune hole-crossing
-  // edges; keep the (hole-free) backbone.
+  // Re-triangulate sites + endpoints and prune hole-crossing edges; keep
+  // the (hole-free) backbone.
   const delaunay::DelaunayTriangulation dt(pts);
   for (const auto& [u, v] : dt.edges()) {
     if (vis_.visible(pts[static_cast<std::size_t>(u)], pts[static_cast<std::size_t>(v)])) {
@@ -412,19 +336,11 @@ OverlayGraph::Query OverlayGraph::buildQueryGraph(geom::Vec2 from, geom::Vec2 to
     }
   }
   // The backbone (consecutive abstraction nodes of one hole) is kept
-  // unconditionally for hull/lch/ring sites: a chord between adjacent hull
-  // corners cannot cross its own hole's interior, and when boundary
-  // slivers make hulls intersect, keeping the chord beats detouring the
-  // whole overlay (the Chew leg slides around the sliver locally).
-  // Douglas-Peucker backbones can genuinely cut through their hole, so
-  // they are visibility-filtered.
-  for (const auto& [u, v] : backboneEdges_) {
-    if (filterBackbone_ &&
-        !vis_.visible(pts[static_cast<std::size_t>(u)], pts[static_cast<std::size_t>(v)])) {
-      continue;
-    }
-    q.g.addEdge(u, v);
-  }
+  // unconditionally: a chord between adjacent hull corners cannot cross
+  // its own hole's interior, and when boundary slivers make hulls
+  // intersect, keeping the chord beats detouring the whole overlay (the
+  // Chew leg slides around the sliver locally).
+  for (const auto& [u, v] : backboneEdges_) q.g.addEdge(u, v);
   return q;
 }
 
@@ -728,7 +644,7 @@ void OverlayGraph::query(geom::Vec2 from, geom::Vec2 to, OverlayQueryWorkspace& 
     out.distance = 0.0;
     return;
   }
-  if (incremental_) {
+  if (edgeMode_ == EdgeMode::Visibility) {
     queryIncremental(from, to, ws, out);
   } else {
     queryRebuild(from, to, out);
@@ -740,20 +656,6 @@ OverlayRoute OverlayGraph::waypointsWithDistance(geom::Vec2 from, geom::Vec2 to)
   OverlayRoute out;
   query(from, to, ws, out);
   return out;
-}
-
-std::optional<std::vector<graph::NodeId>> OverlayGraph::waypoints(geom::Vec2 from,
-                                                                  geom::Vec2 to) const {
-  auto route = waypointsWithDistance(from, to);
-  if (!route.reachable) return std::nullopt;
-  return std::move(route.waypoints);
-}
-
-double OverlayGraph::overlayDistance(geom::Vec2 from, geom::Vec2 to) const {
-  thread_local OverlayQueryWorkspace ws;
-  thread_local OverlayRoute out;
-  query(from, to, ws, out);
-  return out.distance;
 }
 
 }  // namespace hybrid::routing

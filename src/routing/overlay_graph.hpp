@@ -7,11 +7,9 @@
 #include <utility>
 #include <vector>
 
-#include "abstraction/hole_abstraction.hpp"
 #include "geom/visibility.hpp"
 #include "graph/csr.hpp"
 #include "graph/graph.hpp"
-#include "holes/hole_detection.hpp"
 #include "obs/metrics.hpp"
 #include "routing/hub_labels.hpp"
 
@@ -23,7 +21,6 @@ enum class SiteMode {
   AllHoleNodes,       ///< Every hole boundary node (paper section 3).
   LocallyConvexHull,  ///< Locally convex hulls (Def. 4.1): the intermediate
                       ///< abstraction of section 4.1 — O(A) nodes per hole.
-  SimplifiedBoundary, ///< Douglas-Peucker simplified boundary (extension).
 };
 
 /// How overlay sites are connected.
@@ -34,8 +31,8 @@ enum class EdgeMode {
 
 /// Which site-pair backend serves visibility-mode queries.
 enum class TableMode {
-  Dense,      ///< h×h distance/pred table; refuses (rebuild fallback) above
-              ///< the dense cap.
+  Dense,      ///< h×h distance/pred table; above the dense cap it resolves to
+              ///< hub labels, loudly (overlay.table.fallbacks).
   HubLabels,  ///< Pruned hub-label oracle: compact labels, no site ceiling.
   Auto,       ///< Dense up to the auto threshold, hub labels above it.
 };
@@ -108,30 +105,26 @@ class alignas(64) OverlayQueryWorkspace {
 /// abstraction nodes; a waypoint query inserts the source and target and
 /// returns the intermediate sites of a shortest overlay path.
 ///
-/// Serving engine: visibility-mode overlays precompute the site-to-site
-/// distance/predecessor table (h Dijkstras over the CSR site graph, run in
-/// parallel at construction), so a query only connects the two endpoints
-/// to their visible sites and minimizes d(s, i) + table[i][j] + d(j, t)
-/// over entry/exit-site pairs — no graph rebuild, no per-query Dijkstra,
-/// no allocation. Delaunay mode genuinely re-triangulates per query
-/// (inserting s and t changes the edge set), so it keeps the rebuild path;
-/// both modes answer waypoints and distance from one solve. All query
-/// methods are const and safe to call concurrently.
+/// Serving engine: visibility-mode overlays precompute a site-pair
+/// backend (a dense distance/predecessor table from h Dijkstras over the
+/// CSR site graph, run in parallel at construction, or hub labels), so a
+/// query only connects the two endpoints to their visible sites and
+/// minimizes d(s, i) + d(i, j) + d(j, t) over entry/exit-site pairs — no
+/// graph rebuild, no per-query Dijkstra, no allocation. Delaunay mode
+/// genuinely re-triangulates per query (inserting s and t changes the edge
+/// set), so it keeps the rebuild path; both modes answer waypoints and
+/// distance from one solve. All query methods are const and safe to call
+/// concurrently.
 class OverlayGraph {
  public:
-  OverlayGraph(const graph::GeometricGraph& ldel, const holes::HoleAnalysis& analysis,
-               const std::vector<abstraction::HoleAbstraction>& abstractions,
-               SiteMode siteMode, EdgeMode edgeMode, TableMode table = TableMode::Auto);
-
-  /// Custom-site overlay (used by the intersecting-hulls extensions):
-  /// `siteRings` lists the abstraction node rings (e.g. merged hull
-  /// corners or bounding-box sites, ccw); consecutive ring members form
-  /// the backbone. Visibility is still evaluated against the radio-hole
-  /// polygons. `ringBackbone` declares the rings to be sparse subsets of
-  /// the hole boundary connected by ring arcs (bbox sites): backbone
-  /// edges are then force-included in the site graph even when the
-  /// straight chord crosses the hole, because the router walks the hole
-  /// ring between consecutive sites instead of routing the chord.
+  /// `siteRings` lists the abstraction node rings (hull, locally convex
+  /// hull or boundary nodes, or bounding-box sites; ccw); consecutive ring
+  /// members form the backbone. Visibility is evaluated against the
+  /// radio-hole polygons `obstacles`. `ringBackbone` declares the rings to
+  /// be sparse subsets of the hole boundary connected by ring arcs (bbox
+  /// sites): backbone edges are then force-included in the site graph even
+  /// when the straight chord crosses the hole, because the router walks the
+  /// hole ring between consecutive sites instead of routing the chord.
   OverlayGraph(const graph::GeometricGraph& ldel,
                const std::vector<std::vector<graph::NodeId>>& siteRings,
                std::vector<geom::Polygon> obstacles, EdgeMode edgeMode,
@@ -146,16 +139,6 @@ class OverlayGraph {
   /// Convenience wrapper over query() using a thread-local workspace.
   OverlayRoute waypointsWithDistance(geom::Vec2 from, geom::Vec2 to) const;
 
-  /// Site node ids (into the LDel graph) of the shortest overlay path from
-  /// `from` to `to`, excluding the endpoints themselves. nullopt if the
-  /// overlay is disconnected between them (should not happen for disjoint
-  /// convex hulls). Prefer waypointsWithDistance() when the path length is
-  /// also needed — this and overlayDistance() each run a full solve.
-  std::optional<std::vector<graph::NodeId>> waypoints(geom::Vec2 from, geom::Vec2 to) const;
-
-  /// Euclidean length of the shortest overlay path (for analysis).
-  double overlayDistance(geom::Vec2 from, geom::Vec2 to) const;
-
   const std::vector<graph::NodeId>& sites() const { return sites_; }
   std::size_t numPrecomputedEdges() const { return precomputedEdges_; }
   const geom::VisibilityContext& visibility() const { return vis_; }
@@ -165,9 +148,9 @@ class OverlayGraph {
   const std::vector<std::vector<int>>& siteAdjacency() const { return siteAdj_; }
   const std::vector<std::pair<int, int>>& backboneEdges() const { return backboneEdges_; }
   EdgeMode edgeMode() const { return edgeMode_; }
-  bool backboneFiltered() const { return filterBackbone_; }
-  /// True when queries are answered from the precomputed site-pair backend.
-  bool servesIncrementally() const { return incremental_; }
+  /// True when queries are answered from the precomputed site-pair backend
+  /// (every visibility overlay); Delaunay overlays rebuild per query.
+  bool servesIncrementally() const { return edgeMode_ == EdgeMode::Visibility; }
   /// The backend mode requested at construction (possibly Auto).
   TableMode tableMode() const { return tableMode_; }
   /// True when site-pair queries are served by hub labels (resolved mode).
@@ -182,10 +165,10 @@ class OverlayGraph {
                      static_cast<std::size_t>(j)];
   }
 
-  /// Dense visibility overlays larger than denseCap() fall back to the
-  /// rebuild path: the O(h^2) table would cost too much memory to be a
-  /// win. Hub labels have no such ceiling. Historical name kept for the
-  /// old-path bench replicas; equals denseCap() unless overridden.
+  /// Dense visibility overlays larger than denseCap() resolve to hub
+  /// labels: the O(h^2) table would cost too much memory to be a win. Hub
+  /// labels have no such ceiling. Historical name kept for the old-path
+  /// bench replicas; equals denseCap() unless overridden.
   static constexpr std::size_t kMaxTableSites = 4096;
 
   /// Runtime-readable dense table cap (default kMaxTableSites).
@@ -222,17 +205,12 @@ class OverlayGraph {
   std::vector<std::vector<int>> siteAdj_;
   /// Ring/hull consecutive edges that are always present.
   std::vector<std::pair<int, int>> backboneEdges_;
-  /// Douglas-Peucker backbones may cut through their own hole (the
-  /// tolerance allows chords across convex bumps), so they are
-  /// visibility-filtered; hull/lch/ring backbones never cross their hole.
-  bool filterBackbone_ = false;
   /// Backbone edges are ring arcs of a sparse site subset (bbox mode):
   /// include them in the site graph even when the chord is hole-blocked.
   bool ringBackbone_ = false;
   std::size_t precomputedEdges_ = 0;
 
   // Serving engine state (visibility mode).
-  bool incremental_ = false;
   TableMode tableMode_ = TableMode::Auto;
   bool usesHubLabels_ = false;
   graph::CsrAdjacency siteCsr_;          ///< Flat site graph (visibility edges).

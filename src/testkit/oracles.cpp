@@ -1309,13 +1309,7 @@ routing::OverlayRoute referenceOverlayQuery(const routing::OverlayGraph& overlay
         g.addEdge(u, v);
       }
     }
-    for (const auto& [u, v] : overlay.backboneEdges()) {
-      if (overlay.backboneFiltered() &&
-          !vis.visible(pts[static_cast<std::size_t>(u)], pts[static_cast<std::size_t>(v)])) {
-        continue;
-      }
-      g.addEdge(u, v);
-    }
+    for (const auto& [u, v] : overlay.backboneEdges()) g.addEdge(u, v);
   }
 
   const auto tree = graph::dijkstra(g, fromIdx, toIdx);

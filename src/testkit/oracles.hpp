@@ -151,8 +151,9 @@ const Oracle* findOracle(std::string_view name);
 /// Brute-force overlay ground truth: rebuilds the query graph (sites +
 /// endpoints, visibility- or Delaunay-edged exactly as the serving engine
 /// defines it) from the overlay's public state and runs graph::dijkstra.
-/// This is the pre-PR-3 serving path; the overlay_parity oracle and the
-/// grazing-segment regression tests pin the incremental engine against it.
+/// This is the serving path from before the incremental engine (Delaunay
+/// overlays still answer this way); the overlay_parity oracle and the
+/// OverlayParity tests pin the incremental engine against it.
 routing::OverlayRoute referenceOverlayQuery(const routing::OverlayGraph& overlay,
                                             geom::Vec2 from, geom::Vec2 to);
 

@@ -10,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "routing/hub_labels.hpp"
 #include "routing/overlay_graph.hpp"
+#include "testkit/oracles.hpp"
 
 namespace hybrid::routing {
 namespace {
@@ -188,8 +189,8 @@ TEST(HubLabels, CorruptionIsDetectableAndPathsFailClean) {
 }
 
 /// Overlay plumbing around the oracle: a circle-of-sites geometry small
-/// enough for unit tests, with the runtime caps lowered so the fallback and
-/// the Auto switchover both trigger.
+/// enough for unit tests, with the runtime caps lowered so the Dense-over-cap
+/// fallback and the Auto switchover both trigger.
 class HubLabelOverlayTest : public ::testing::Test {
  protected:
   /// `n` sites on a circle of radius 4 around a square obstacle whose
@@ -220,16 +221,23 @@ TEST_F(HubLabelOverlayTest, DenseOverCapFallsBackLoudlyWithCounter) {
   const auto before = fallbacks.value();
 
   {
+    // A Dense request above the cap resolves to hub labels, loudly.
     const OverlayGraph over = makeCircleOverlay(96, TableMode::Dense);
-    EXPECT_FALSE(over.servesIncrementally());
-    EXPECT_FALSE(over.usesHubLabels());
+    EXPECT_TRUE(over.servesIncrementally());
+    EXPECT_TRUE(over.usesHubLabels());
+    EXPECT_EQ(over.tableMode(), TableMode::Dense);
     EXPECT_EQ(fallbacks.value(), before + 1);
-    // The rebuild path still answers correctly.
-    const auto route = over.waypointsWithDistance({-5.0, 0.0}, {5.0, 0.0});
+    // The labels answer exactly as the rebuild ground truth.
+    const geom::Vec2 from{-5.0, 0.0};
+    const geom::Vec2 to{5.0, 0.0};
+    const auto route = over.waypointsWithDistance(from, to);
+    const auto ref = testkit::referenceOverlayQuery(over, from, to);
     EXPECT_TRUE(route.reachable);
+    EXPECT_TRUE(ref.reachable);
+    EXPECT_NEAR(route.distance, ref.distance, 1e-9);
   }
   {
-    // The same size under HubLabels keeps the serving engine.
+    // The same size under HubLabels counts no fallback.
     const OverlayGraph over = makeCircleOverlay(96, TableMode::HubLabels);
     EXPECT_TRUE(over.servesIncrementally());
     EXPECT_TRUE(over.usesHubLabels());

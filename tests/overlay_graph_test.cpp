@@ -35,10 +35,10 @@ TEST_F(OverlayFixture, WaypointsRouteAroundTheBlock) {
   const auto& overlay = net_->router().overlay();
   // Endpoints on opposite sides of the square hole: the straight segment
   // is blocked, so waypoints must be non-empty hull corners.
-  const auto wp = overlay.waypoints({4.0, 9.0}, {14.0, 9.0});
-  ASSERT_TRUE(wp.has_value());
-  ASSERT_FALSE(wp->empty());
-  for (graph::NodeId w : *wp) {
+  const auto route = overlay.waypointsWithDistance({4.0, 9.0}, {14.0, 9.0});
+  ASSERT_TRUE(route.reachable);
+  ASSERT_FALSE(route.waypoints.empty());
+  for (graph::NodeId w : route.waypoints) {
     const auto pos = net_->ldel().position(w);
     // All waypoints are abstraction (hull) sites near the hole.
     EXPECT_GT(pos.x, 4.0);
@@ -59,7 +59,7 @@ TEST_F(OverlayFixture, OverlayDistanceBounds) {
       bad = bad || h.polygon.contains(a) || h.polygon.contains(b);
     }
     if (bad) continue;
-    const double od = overlay.overlayDistance(a, b);
+    const double od = overlay.waypointsWithDistance(a, b).distance;
     // Never shorter than the straight line...
     EXPECT_GE(od, geom::dist(a, b) - 1e-9);
     // ...and when visible, within the Delaunay spanner factor (the
@@ -77,9 +77,9 @@ TEST_F(OverlayFixture, EndpointOnSiteIsReusedNotDuplicated) {
   // Query from exactly a site position: must not confuse the Delaunay
   // re-triangulation (duplicate points) and must not return the site as a
   // waypoint of itself.
-  const auto wp = overlay.waypoints(sp, {2.0, 2.0});
-  ASSERT_TRUE(wp.has_value());
-  for (graph::NodeId w : *wp) EXPECT_NE(w, site);
+  const auto route = overlay.waypointsWithDistance(sp, {2.0, 2.0});
+  ASSERT_TRUE(route.reachable);
+  for (graph::NodeId w : route.waypoints) EXPECT_NE(w, site);
 }
 
 TEST_F(OverlayFixture, SameStartAndEnd) {

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "core/hybrid_network.hpp"
-#include "delaunay/triangulation.hpp"
-#include "graph/shortest_path.hpp"
 #include "routing/overlay_graph.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/shapes.hpp"
@@ -19,84 +17,6 @@ namespace hybrid::routing {
 namespace {
 
 constexpr double kEps = 1e-9;
-
-/// Faithful replica of the pre-engine serving path: rebuild the query
-/// graph (sites + endpoints) from the overlay's public state and run one
-/// Dijkstra over it. This is what OverlayGraph did per query before the
-/// incremental engine; the parity suite pins the new engine against it.
-struct LegacyAnswer {
-  bool reachable = false;
-  double distance = std::numeric_limits<double>::infinity();
-  std::vector<graph::NodeId> waypoints;
-};
-
-LegacyAnswer legacyQuery(const OverlayGraph& overlay, geom::Vec2 from, geom::Vec2 to) {
-  const auto& sitePos = overlay.sitePositions();
-  const auto& siteAdj = overlay.siteAdjacency();
-  const auto& vis = overlay.visibility();
-  const int ns = static_cast<int>(sitePos.size());
-
-  int fromSite = -1;
-  int toSite = -1;
-  for (int i = 0; i < ns; ++i) {
-    if (sitePos[static_cast<std::size_t>(i)] == from) fromSite = i;
-    if (sitePos[static_cast<std::size_t>(i)] == to) toSite = i;
-  }
-
-  std::vector<geom::Vec2> pts = sitePos;
-  const int fromIdx = fromSite >= 0 ? fromSite : static_cast<int>(pts.size());
-  if (fromSite < 0) pts.push_back(from);
-  int toIdx = toSite >= 0 ? toSite : static_cast<int>(pts.size());
-  if (toSite < 0 && !(from == to)) pts.push_back(to);
-  if (toSite < 0 && from == to) toIdx = fromIdx;
-
-  graph::GeometricGraph g(pts);
-  if (overlay.edgeMode() == EdgeMode::Visibility || pts.size() < 3) {
-    for (int i = 0; i < ns; ++i) {
-      for (int j : siteAdj[static_cast<std::size_t>(i)]) {
-        if (j > i) g.addEdge(i, j);
-      }
-    }
-    for (const int endpoint : {fromIdx, toIdx}) {
-      if (endpoint < ns) continue;
-      for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
-        if (i == endpoint) continue;
-        if (vis.visible(pts[static_cast<std::size_t>(endpoint)],
-                        pts[static_cast<std::size_t>(i)])) {
-          g.addEdge(endpoint, i);
-        }
-      }
-    }
-  } else {
-    const delaunay::DelaunayTriangulation dt(pts);
-    for (const auto& [u, v] : dt.edges()) {
-      if (vis.visible(pts[static_cast<std::size_t>(u)], pts[static_cast<std::size_t>(v)])) {
-        g.addEdge(u, v);
-      }
-    }
-    for (const auto& [u, v] : overlay.backboneEdges()) {
-      if (overlay.backboneFiltered() &&
-          !vis.visible(pts[static_cast<std::size_t>(u)], pts[static_cast<std::size_t>(v)])) {
-        continue;
-      }
-      g.addEdge(u, v);
-    }
-  }
-
-  LegacyAnswer ans;
-  const auto tree = graph::dijkstra(g, fromIdx, toIdx);
-  ans.distance = tree.dist[static_cast<std::size_t>(toIdx)];
-  const auto path = tree.pathTo(toIdx);
-  if (path.empty() && fromIdx != toIdx) return ans;
-  ans.reachable = true;
-  for (graph::NodeId v : path) {
-    if (v == fromIdx || v == toIdx) continue;
-    if (v < static_cast<int>(overlay.sites().size())) {
-      ans.waypoints.push_back(overlay.sites()[static_cast<std::size_t>(v)]);
-    }
-  }
-  return ans;
-}
 
 /// Euclidean length of from -> waypoints -> to in the LDel embedding.
 double polylineLength(const core::HybridNetwork& net, geom::Vec2 from, geom::Vec2 to,
@@ -131,7 +51,8 @@ std::vector<ParityCase> parityCases() {
 }
 
 /// 5 networks x 2 edge modes x 2 site modes x 12 query pairs = 240 seeded
-/// scenarios: new engine vs the legacy rebuild-per-query replica.
+/// scenarios: the serving engine vs the testkit's rebuild-per-query ground
+/// truth (testkit::referenceOverlayQuery).
 TEST(OverlayParity, IncrementalEngineMatchesLegacyRebuild) {
   int checked = 0;
   for (const auto& pc : parityCases()) {
@@ -162,29 +83,32 @@ TEST(OverlayParity, IncrementalEngineMatchesLegacyRebuild) {
           if (q % 4 == 2) b = overlay.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
           if (q % 12 == 3) b = a;
 
-          const auto legacy = legacyQuery(overlay, a, b);
+          const auto ref = testkit::referenceOverlayQuery(overlay, a, b);
           const auto fresh = overlay.waypointsWithDistance(a, b);
 
           ++checked;
-          ASSERT_EQ(fresh.reachable, legacy.reachable)
+          ASSERT_EQ(fresh.reachable, ref.reachable)
               << "seed=" << pc.seed << " q=" << q;
           if (!fresh.reachable) continue;
-          EXPECT_NEAR(fresh.distance, legacy.distance, kEps)
+          EXPECT_NEAR(fresh.distance, ref.distance, kEps)
               << "seed=" << pc.seed << " q=" << q;
-          if (fresh.waypoints != legacy.waypoints) {
+          if (fresh.waypoints != ref.waypoints) {
             // Equal-length shortest paths may tie-break differently (the
             // table groups FP additions differently than one sequential
             // Dijkstra); both must still realize the optimal distance.
-            EXPECT_NEAR(polylineLength(net, a, b, fresh.waypoints), legacy.distance, 1e-6)
+            EXPECT_NEAR(polylineLength(net, a, b, fresh.waypoints), ref.distance, 1e-6)
                 << "seed=" << pc.seed << " q=" << q;
-            EXPECT_NEAR(polylineLength(net, a, b, legacy.waypoints), legacy.distance, 1e-6)
+            EXPECT_NEAR(polylineLength(net, a, b, ref.waypoints), ref.distance, 1e-6)
                 << "seed=" << pc.seed << " q=" << q;
           }
-          // The combined solve agrees with the split entry points.
-          const auto wp = overlay.waypoints(a, b);
-          ASSERT_TRUE(wp.has_value());
-          EXPECT_EQ(*wp, fresh.waypoints);
-          EXPECT_NEAR(overlay.overlayDistance(a, b), fresh.distance, kEps);
+          // A solve through a fresh workspace agrees with the thread-local
+          // one the convenience wrapper reuses across queries.
+          OverlayQueryWorkspace ws;
+          OverlayRoute again;
+          overlay.query(a, b, ws, again);
+          ASSERT_TRUE(again.reachable);
+          EXPECT_EQ(again.waypoints, fresh.waypoints);
+          EXPECT_NEAR(again.distance, fresh.distance, kEps);
         }
       }
     }

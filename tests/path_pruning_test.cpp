@@ -16,10 +16,8 @@ TEST(PathPruning, NeverLongerAlwaysValid) {
   p.obstacles.push_back(scenario::regularPolygonObstacle({9, 9}, 2.8, 6));
   const auto sc = scenario::makeScenario(p);
   core::HybridNetwork net(sc.points);
-  auto plain = net.makeRouter({routing::SiteMode::HullNodes, routing::EdgeMode::Delaunay,
-                               true, false, /*prunePaths=*/false});
-  auto pruned = net.makeRouter({routing::SiteMode::HullNodes, routing::EdgeMode::Delaunay,
-                                true, false, /*prunePaths=*/true});
+  auto plain = net.makeRouter({.prunePaths = false});
+  auto pruned = net.makeRouter({.prunePaths = true});
 
   std::mt19937 rng(1);
   std::uniform_int_distribution<int> pick(0, static_cast<int>(sc.points.size()) - 1);
@@ -52,8 +50,7 @@ TEST(PathPruning, ShortcutsDetours) {
   std::vector<geom::Vec2> pts;
   for (int i = 0; i < 10; ++i) pts.push_back({i * 0.5, 0.0});
   core::HybridNetwork net(pts);
-  auto pruned = net.makeRouter({routing::SiteMode::HullNodes, routing::EdgeMode::Delaunay,
-                                true, false, /*prunePaths=*/true});
+  auto pruned = net.makeRouter({.prunePaths = true});
   const auto r = pruned->route(0, 9);
   ASSERT_TRUE(r.delivered);
   // Nodes are 0.5 apart with unit radius: pruning keeps every other node.
