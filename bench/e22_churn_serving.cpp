@@ -11,6 +11,9 @@
 //    vs routeBatch on the pinned network directly, same pairs, same thread
 //    count (speedup_vs_direct ~ 1.0 is the machine-independent gauge the
 //    CI bench gate checks);
+//  - the LDel^2 build every Full epoch starts with: the build vs the
+//    reference construction (testkit::referenceLocalizedDelaunay) on the
+//    same points, one thread (speedup_vs_reference is gated in CI too);
 //  - sustained throughput under live churn: reader threads keep routing
 //    while the updater drains a churn trace epoch by epoch, reporting
 //    q/s, epoch swap latency and the Reused/Incremental/Full rebuild mix
@@ -24,7 +27,7 @@
 // Usage: e22_churn_serving [--smoke | --gate] [--metrics FILE]
 //   --smoke         tiny sweep (CI correctness check): n = 250, threads {1, 2}.
 //   --gate          mid-size sweep for the CI perf gate: n = 500, threads
-//                   {1, 2, 8}; the overhead ratios land in
+//                   {1, 2, 8}; the overhead and LDel^2 ratios land in
 //                   bench/baselines/e22.json.
 //   --metrics FILE  record per-config gauges and write an obs snapshot
 //                   (consumed by the CI bench gate via
@@ -44,6 +47,7 @@
 #include "obs/snapshot.hpp"
 #include "scenario/churn.hpp"
 #include "serve/route_service.hpp"
+#include "testkit/oracles.hpp"
 
 using namespace hybrid;
 
@@ -184,6 +188,44 @@ int main(int argc, char** argv) {
     if (!firstCfg) std::printf(",\n");
     firstCfg = false;
     std::printf("    {\"n\": %zu,\n", sc.points.size());
+
+    // --- LDel^2 build, the layer every Full epoch starts with: the fast
+    // kernels vs the reference construction on the same points, one thread,
+    // interleaved best-of. The ratio is machine-independent and gated.
+    {
+      delaunay::LDelOptions ldelOpts;
+      ldelOpts.radius = sc.radius;
+      ldelOpts.reliableRadius = sc.radius;
+      ldelOpts.threads = 1;
+      double reference = 0.0;
+      double fast = 0.0;
+      for (int r = 0; r <= 2 * kRepeats; ++r) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const auto want = testkit::referenceLocalizedDelaunay(sc.points, ldelOpts);
+        const auto t1 = std::chrono::steady_clock::now();
+        const auto got = delaunay::buildLocalizedDelaunay(sc.points, ldelOpts);
+        const auto t2 = std::chrono::steady_clock::now();
+        if (got.graph.edges() != want.graph.edges() || got.triangles != want.triangles) {
+          std::fprintf(stderr, "e22_churn_serving: LDel^2 build differs from the reference "
+                               "at n=%zu\n", n);
+          return 3;
+        }
+        if (r == 0) continue;  // warm-up
+        const double ref = seconds(t0, t1);
+        const double fst = seconds(t1, t2);
+        if (reference == 0.0 || ref < reference) reference = ref;
+        if (fast == 0.0 || fst < fast) fast = fst;
+      }
+      const double speedup = fast > 0.0 ? reference / fast : 0.0;
+      std::printf("     \"ldelBuild\": {\"referenceMs\": %.3f, \"buildMs\": %.3f, "
+                  "\"speedupVsReference\": %.3f},\n",
+                  1e3 * reference, 1e3 * fast, speedup);
+      HYBRID_OBS_STMT(if (obs::enabled()) {
+        obs::Registry::global()
+            .gauge("bench.e22.ldel.speedup_vs_reference.n" + std::to_string(n))
+            .set(speedup);
+      });
+    }
 
     // --- Serving overhead: service.routeBatch (pin + route) vs routing on
     // the pinned network directly. The ratio is machine-independent; its

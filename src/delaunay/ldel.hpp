@@ -48,4 +48,9 @@ struct LDelOptions {
 LocalizedDelaunay buildLocalizedDelaunay(const std::vector<geom::Vec2>& points,
                                          const LDelOptions& opts = {});
 
+/// The QUDG model's per-link coin: true if the link {u, v} (either order)
+/// is dropped with probability `p`, deterministically given `seed`. Only
+/// links longer than LDelOptions::reliableRadius are subject to it.
+bool qudgLinkDropped(int u, int v, unsigned seed, double p);
+
 }  // namespace hybrid::delaunay

@@ -9,9 +9,13 @@ graph::GeometricGraph buildUnitDiskGraph(const std::vector<geom::Vec2>& points,
   graph::GeometricGraph g(points);
   const spatial::GridIndex grid(points, radius);
   for (int i = 0; i < static_cast<int>(points.size()); ++i) {
-    for (int j : grid.neighborsOf(i, radius)) {
-      if (j > i) g.addEdge(i, j);
-    }
+    grid.forEachWithin(
+        points[static_cast<std::size_t>(i)], radius,
+        [&](int j) {
+          g.addEdge(i, j);
+          return true;
+        },
+        i);
   }
   return g;
 }

@@ -18,6 +18,9 @@ constexpr double kEps = 1.1102230246251565e-16;  // 2^-53
 // Floating-Point Arithmetic and Fast Robust Geometric Predicates".
 const double kCcwErrBound = (3.0 + 16.0 * kEps) * kEps;
 const double kIccErrBound = (10.0 + 96.0 * kEps) * kEps;
+// Relative error bound of the float diametral dot product (derivation in
+// inDiametralCircle).
+constexpr double kDiametralErrBound = 5.0 * kEps;
 
 int orientExact(Vec2 a, Vec2 b, Vec2 c) {
   const Expansion acx = Expansion::twoDiff(a.x, c.x);
@@ -108,7 +111,27 @@ int inCircle(Vec2 a, Vec2 b, Vec2 c, Vec2 d) {
 
 bool inDiametralCircle(Vec2 a, Vec2 b, Vec2 d) {
   // d is strictly inside the circle with diameter ab iff the angle (a,d,b)
-  // is obtuse, i.e. (a-d)·(b-d) < 0. Evaluate exactly.
+  // is obtuse, i.e. (a-d)·(b-d) < 0.
+  //
+  // Filter: each of the two products in the float dot product carries at
+  // most four rounding factors (1+δ), |δ| <= u = 2^-53: one per rounded
+  // difference, the product and the sum. So |dot~ - dot| <= γ4·P with
+  // γ4 = 4u/(1-4u) and P = |adx·bdx| + |ady·bdy| over the exact
+  // differences. The float permanent P~ has the same factors and no
+  // cancellation, so P <= P~/(1-u)^4, and kDiametralErrBound = 5u bounds
+  // γ4/(1-u)^4 plus the rounding of the bound's own product with room to
+  // spare. Barring underflow, |dot~| above it has the exact sign;
+  // otherwise evaluate exactly.
+  const double adxf = a.x - d.x;
+  const double adyf = a.y - d.y;
+  const double bdxf = b.x - d.x;
+  const double bdyf = b.y - d.y;
+  const double xx = adxf * bdxf;
+  const double yy = adyf * bdyf;
+  const double dotf = xx + yy;
+  const double errbound = kDiametralErrBound * (std::fabs(xx) + std::fabs(yy));
+  if (dotf > errbound || -dotf > errbound) return dotf < 0.0;
+
   const Expansion adx = Expansion::twoDiff(a.x, d.x);
   const Expansion ady = Expansion::twoDiff(a.y, d.y);
   const Expansion bdx = Expansion::twoDiff(b.x, d.x);

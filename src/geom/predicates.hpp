@@ -26,8 +26,8 @@ double orientValue(Vec2 a, Vec2 b, Vec2 c);
 /// 0 if cocircular. For clockwise (a,b,c) the sign flips.
 int inCircle(Vec2 a, Vec2 b, Vec2 c, Vec2 d);
 
-/// True if d lies strictly inside the circle with diameter ab (Gabriel test).
-/// Exact: evaluates (d-m)·(d-m) < r² as sign of a polynomial in the inputs.
+/// True if d lies strictly inside the circle with diameter ab (Gabriel test):
+/// the sign of (a-d)·(b-d), filtered in floating point and exact otherwise.
 bool inDiametralCircle(Vec2 a, Vec2 b, Vec2 d);
 
 /// True if c lies on the closed segment [a, b] (collinear and between).

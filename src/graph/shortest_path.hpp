@@ -26,11 +26,10 @@ std::vector<NodeId> astarPath(const GeometricGraph& g, NodeId source, NodeId tar
 /// Euclidean length of the shortest path, +inf if unreachable.
 double shortestPathLength(const GeometricGraph& g, NodeId source, NodeId target);
 
-/// BFS hop distances from `source` (-1 if unreachable). `maxHops` < 0 means
-/// unbounded; otherwise exploration stops beyond that many hops.
-std::vector<int> bfsHops(const GeometricGraph& g, NodeId source, int maxHops = -1);
-
-/// Nodes within `k` hops of `source`, including the source itself.
+/// Nodes within `k` hops of `source` (unbounded for k < 0), in BFS order:
+/// the source first, then by hop count, each hop in discovery order. The
+/// search is sized to the neighbourhood: visited nodes live in a small
+/// open-addressing set that grows with it, never in an n-sized array.
 std::vector<NodeId> kHopNeighborhood(const GeometricGraph& g, NodeId source, int k);
 
 }  // namespace hybrid::graph

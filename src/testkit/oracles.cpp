@@ -7,6 +7,7 @@
 #include <memory>
 #include <random>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "abstraction/bbox_overlay.hpp"
@@ -70,10 +71,46 @@ double polylineLength(const core::HybridNetwork& net, geom::Vec2 from, geom::Vec
 // ldel_invariants
 // ---------------------------------------------------------------------------
 
+/// Where two graphs' adjacency lists first differ, order included; empty
+/// when identical.
+std::string adjacencyDifference(const std::string& name, const graph::GeometricGraph& want,
+                                const graph::GeometricGraph& got) {
+  if (want.numNodes() != got.numNodes()) return name + " node counts differ";
+  for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(got.numNodes()); ++v) {
+    if (!std::ranges::equal(want.neighbors(v), got.neighbors(v))) {
+      return name + " adjacency of node " + std::to_string(v) + " differs";
+    }
+  }
+  return {};
+}
+
+/// Where two LDel constructions first differ; empty when byte-identical.
+std::string ldelDifference(const delaunay::LocalizedDelaunay& want,
+                           const delaunay::LocalizedDelaunay& got) {
+  if (auto d = adjacencyDifference("UDG", want.udg, got.udg); !d.empty()) return d;
+  if (auto d = adjacencyDifference("LDel", want.graph, got.graph); !d.empty()) return d;
+  if (want.triangles != got.triangles) return "localized triangles differ";
+  if (want.gabrielEdges != got.gabrielEdges) return "Gabriel edges differ";
+  if (want.removedCrossings != got.removedCrossings) {
+    return "planarizer removed " + std::to_string(got.removedCrossings) + " crossings, not " +
+           std::to_string(want.removedCrossings);
+  }
+  return {};
+}
+
 OracleResult checkLdelInvariants(const CaseContext& ctx) {
   const auto& net = ctx.net();
   const auto& ldel = net.ldel();
   const double radius = net.radius();
+
+  // The fast construction must match the reference byte for byte.
+  delaunay::LDelOptions opts;
+  opts.radius = radius;
+  opts.reliableRadius = radius;
+  opts.threads = ctx.threads();
+  const std::string diff =
+      ldelDifference(referenceLocalizedDelaunay(ctx.scenario().points, opts), net.ldelResult());
+  if (!diff.empty()) return failResult("LDel^2 differs from the reference build: " + diff);
 
   if (!ldel.isPlanarEmbedding()) {
     return failResult("LDel^2 embedding has crossing edges");

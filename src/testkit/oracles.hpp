@@ -105,9 +105,12 @@ struct Oracle {
 };
 
 /// The registry, in fixed order:
-///  - ldel_invariants:   LDel planarity, edges within radius, connectivity,
-///                       Euler's formula on the hull-augmented faces,
-///                       1.998-spanner samples vs graph::dijkstra
+///  - ldel_invariants:   byte-identity with referenceLocalizedDelaunay
+///                       (UDG and LDel adjacency order, triangles, Gabriel
+///                       edges, removals), LDel planarity, edges within
+///                       radius, connectivity, Euler's formula on the
+///                       hull-augmented faces, 1.998-spanner samples vs
+///                       graph::dijkstra
 ///  - hull_invariants:   hull convexity/containment, hull_groups agreement
 ///                       with pairwise disjointness detection
 ///  - overlay_parity:    incremental/current overlay query vs brute-force
@@ -156,5 +159,15 @@ const Oracle* findOracle(std::string_view name);
 /// OverlayParity tests pin the incremental engine against it.
 routing::OverlayRoute referenceOverlayQuery(const routing::OverlayGraph& overlay,
                                             geom::Vec2 from, geom::Vec2 to);
+
+/// LDel^2 ground truth: the construction as it was before its kernels were
+/// replaced (unordered_map hash grid, a per-node BFS over an n-sized array,
+/// the exact-only diametral test, up to three circumcircle tests per
+/// candidate), with the large-coordinate Gabriel slack fix. The
+/// ldel_invariants oracle requires delaunay::buildLocalizedDelaunay to
+/// match it byte for byte: adjacency order, triangles, Gabriel edges and
+/// removals.
+delaunay::LocalizedDelaunay referenceLocalizedDelaunay(const std::vector<geom::Vec2>& points,
+                                                       const delaunay::LDelOptions& opts = {});
 
 }  // namespace hybrid::testkit

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <set>
 
@@ -107,14 +109,26 @@ TEST(ShortestPath, AStarAgreesWithDijkstra) {
 
 TEST(ShortestPath, BfsHopsAndKHop) {
   const auto g = pathGraph(7);
-  const auto hops = bfsHops(g, 3);
-  EXPECT_EQ(hops[0], 3);
-  EXPECT_EQ(hops[6], 3);
-  const auto bounded = bfsHops(g, 3, 2);
-  EXPECT_EQ(bounded[0], -1);
-  EXPECT_EQ(bounded[1], 2);
-  const auto nbh = kHopNeighborhood(g, 3, 2);
-  EXPECT_EQ(nbh.size(), 5u);  // 1,2,3,4,5
+  EXPECT_EQ(kHopNeighborhood(g, 3, 0), (std::vector<NodeId>{3}));
+  // BFS order: the source, then each hop in discovery order.
+  EXPECT_EQ(kHopNeighborhood(g, 3, 2), (std::vector<NodeId>{3, 2, 4, 1, 5}));
+  EXPECT_EQ(kHopNeighborhood(g, 3, 3).size(), 7u);
+  EXPECT_EQ(kHopNeighborhood(g, 0, -1), (std::vector<NodeId>{0, 1, 2, 3, 4, 5, 6}));
+
+  // A neighbourhood far larger than the visited set's first table: a star
+  // whose leaves also form a path, so every leaf is reached many times.
+  std::vector<geom::Vec2> pts(201);
+  GeometricGraph star(pts);
+  for (int leaf = 1; leaf <= 200; ++leaf) {
+    star.addEdge(0, leaf);
+    if (leaf > 1) star.addEdge(leaf - 1, leaf);
+  }
+  auto nbh = kHopNeighborhood(star, 5, 2);
+  EXPECT_EQ(nbh.front(), 5);
+  std::sort(nbh.begin(), nbh.end());
+  std::vector<NodeId> all(201);
+  std::iota(all.begin(), all.end(), 0);
+  EXPECT_EQ(nbh, all);
 }
 
 TEST(Dsu, UnionFind) {
