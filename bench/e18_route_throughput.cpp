@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
     auto sc = bench::convexHolesScenario(n, 42 + static_cast<unsigned>(n));
     core::HybridNetwork net(sc.points);
     const auto router = net.makeRouter(
-        {routing::SiteMode::HullNodes, routing::EdgeMode::Visibility, true});
+        {.sites = routing::SiteMode::HullNodes, .edges = routing::EdgeMode::Visibility});
     const routing::OverlayGraph& overlay = router->overlay();
 
     // --- Overlay query serving: legacy rebuild vs incremental engine. ---

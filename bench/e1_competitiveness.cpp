@@ -42,18 +42,15 @@ int main() {
     routing::FaceGreedyRouter face(net.ldel(), net.subdivision(), net.holes());
     routing::GoafrRouter goafr(net.ldel());
     auto hullDel = net.makeRouter(
-        {routing::SiteMode::HullNodes, routing::EdgeMode::Delaunay, true});
+        {.sites = routing::SiteMode::HullNodes, .edges = routing::EdgeMode::Delaunay});
     auto hullVis = net.makeRouter(
-        {routing::SiteMode::HullNodes, routing::EdgeMode::Visibility, true});
+        {.sites = routing::SiteMode::HullNodes, .edges = routing::EdgeMode::Visibility});
     auto bndDel = net.makeRouter(
-        {routing::SiteMode::AllHoleNodes, routing::EdgeMode::Delaunay, true});
+        {.sites = routing::SiteMode::AllHoleNodes, .edges = routing::EdgeMode::Delaunay});
     auto bndVis = net.makeRouter(
-        {routing::SiteMode::AllHoleNodes, routing::EdgeMode::Visibility, true});
+        {.sites = routing::SiteMode::AllHoleNodes, .edges = routing::EdgeMode::Visibility});
     auto lchDel = net.makeRouter(
-        {routing::SiteMode::LocallyConvexHull, routing::EdgeMode::Delaunay, true});
-    auto prunedDel = net.makeRouter({.sites = routing::SiteMode::HullNodes,
-                                     .edges = routing::EdgeMode::Delaunay,
-                                     .prunePaths = true});
+        {.sites = routing::SiteMode::LocallyConvexHull, .edges = routing::EdgeMode::Delaunay});
 
     struct Entry {
       routing::Router* router;
@@ -70,7 +67,6 @@ int main() {
         {hullVis.get(), "S4 hulls+visgraph", kVisibilityCeiling},
         {hullDel.get(), "S4 hulls+delaunay", kDelaunayCeiling},
         {lchDel.get(), "S4.1 lch+delaunay", kDelaunayCeiling},
-        {prunedDel.get(), "ext. hulls+del+prune", 0.0},
     };
     for (const auto& e : entries) {
       const auto stats =

@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
     auto sc = bench::convexHolesScenario(n, 42 + static_cast<unsigned>(n));
     core::HybridNetwork net(sc.points);
     const auto centralized = net.makeRouter(
-        {routing::SiteMode::HullNodes, routing::EdgeMode::Visibility, true});
+        {.sites = routing::SiteMode::HullNodes, .edges = routing::EdgeMode::Visibility});
     const auto& g = net.ldel();
 
     const auto sb0 = std::chrono::steady_clock::now();

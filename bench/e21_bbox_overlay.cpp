@@ -167,9 +167,9 @@ int main(int argc, char** argv) {
       core::HybridNetwork net(sc.points);
       const auto& g = net.ldel();
 
-      routing::HybridOptions hullOpts{routing::SiteMode::HullNodes,
-                                      routing::EdgeMode::Visibility, true};
-      hullOpts.abstraction = routing::AbstractionMode::Hulls;
+      const routing::HybridOptions hullOpts{.sites = routing::SiteMode::HullNodes,
+                                            .edges = routing::EdgeMode::Visibility,
+                                            .abstraction = routing::AbstractionMode::Hulls};
       routing::HybridOptions bboxOpts = hullOpts;
       bboxOpts.abstraction = routing::AbstractionMode::BBox;
       routing::HybridOptions autoOpts = hullOpts;

@@ -49,15 +49,9 @@ int main() {
       continue;
     }
 
-    // Ablation: the same pairs routed without the §4.4 bay machinery
-    // (every inside-hull case degrades to chew + overlay + fallback).
-    auto noBay = net.makeRouter(
-        {routing::SiteMode::HullNodes, routing::EdgeMode::Delaunay, false});
-
     std::mt19937 rng(7);
     std::uniform_int_distribution<int> pick(0, static_cast<int>(bayNodes.size()) - 1);
     bench::StretchStats stats;
-    bench::StretchStats statsNoBay;
     int maxEroute = 0;
     int violations = 0;
     const int pairs = 120;
@@ -70,21 +64,14 @@ int main() {
       stats.add(r, st);
       maxEroute = std::max(maxEroute, r.bayExtremePoints);
       if (r.delivered && st > (2.0 + r.bayExtremePoints) * 5.9 + 1e-9) ++violations;
-      const auto rn = noBay->route(s, t);
-      statsNoBay.add(rn, net.stretch(rn, s, t));
     }
     std::printf("%7.1f %6zu %7d | %8.3f %8.3f %8.3f | %9d %8.1f %9d\n", w,
                 net.udg().numNodes(), stats.attempts, stats.mean(), stats.percentile(0.95),
                 stats.maxStretch(), maxEroute, (2.0 + maxEroute) * 5.9, violations);
     totalViolations += violations;
-    std::printf("%7s %6s %7s | %8.3f %8.3f %8.3f | ablation: bay routing off "
-                "(fallbacks %d)\n",
-                "", "", "", statsNoBay.mean(), statsNoBay.percentile(0.95),
-                statsNoBay.maxStretch(), statsNoBay.fallbacks);
   }
   bench::printRule();
   std::printf("expected: zero bound violations; measured stretch far below the\n"
-              "(2+|E_route|)*5.9 worst-case guarantee of Lemma 4.19; disabling the\n"
-              "bay machinery costs fallbacks (delivery via shortest-path rescue)\n");
+              "(2+|E_route|)*5.9 worst-case guarantee of Lemma 4.19\n");
   return totalViolations > 0 ? 1 : 0;
 }

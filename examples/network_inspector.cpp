@@ -47,11 +47,16 @@ std::unique_ptr<routing::Router> makeNamedRouter(core::HybridNetwork& net,
                                                  const std::string& name) {
   using routing::EdgeMode;
   using routing::SiteMode;
-  if (name == "hull-delaunay") return net.makeRouter({SiteMode::HullNodes, EdgeMode::Delaunay, true});
-  if (name == "hull-visibility") return net.makeRouter({SiteMode::HullNodes, EdgeMode::Visibility, true});
-  if (name == "boundary-delaunay") return net.makeRouter({SiteMode::AllHoleNodes, EdgeMode::Delaunay, true});
-  if (name == "boundary-visibility") return net.makeRouter({SiteMode::AllHoleNodes, EdgeMode::Visibility, true});
-  if (name == "lch-delaunay") return net.makeRouter({SiteMode::LocallyConvexHull, EdgeMode::Delaunay, true});
+  if (name == "hull-delaunay")
+    return net.makeRouter({.sites = SiteMode::HullNodes, .edges = EdgeMode::Delaunay});
+  if (name == "hull-visibility")
+    return net.makeRouter({.sites = SiteMode::HullNodes, .edges = EdgeMode::Visibility});
+  if (name == "boundary-delaunay")
+    return net.makeRouter({.sites = SiteMode::AllHoleNodes, .edges = EdgeMode::Delaunay});
+  if (name == "boundary-visibility")
+    return net.makeRouter({.sites = SiteMode::AllHoleNodes, .edges = EdgeMode::Visibility});
+  if (name == "lch-delaunay")
+    return net.makeRouter({.sites = SiteMode::LocallyConvexHull, .edges = EdgeMode::Delaunay});
   if (name == "goafr") return std::make_unique<routing::GoafrRouter>(net.ldel());
   if (name == "face")
     return std::make_unique<routing::FaceGreedyRouter>(net.ldel(), net.subdivision(),

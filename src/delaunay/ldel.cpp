@@ -22,6 +22,10 @@ namespace {
 
 using geom::Vec2;
 
+// Hop locality of the triangle emptiness test: LDel^2 is the k = 2 case of
+// Def. 2.3, the smallest k for which Li et al. prove the graph planar.
+constexpr int kHops = 2;
+
 // Slack for a grid query around the rounded midpoint of (pu, pv) whose
 // exact radius is at most `extent`. The rounded midpoint is off by up to
 // half an ulp of the coordinates per axis, and the rounded lengths, the
@@ -197,7 +201,7 @@ LocalizedDelaunay buildLocalizedDelaunay(const std::vector<geom::Vec2>& points,
     }
   }
 
-  // k-hop neighborhoods (including the node itself), in BFS order.
+  // 2-hop neighborhoods (including the node itself), in BFS order.
   std::vector<std::vector<int>> khop(static_cast<std::size_t>(n));
   {
     obs::ScopedSpan span("khop");
@@ -205,13 +209,13 @@ LocalizedDelaunay buildLocalizedDelaunay(const std::vector<geom::Vec2>& points,
                          [&](std::size_t begin, std::size_t end, unsigned) {
                            for (std::size_t v = begin; v < end; ++v) {
                              khop[v] = graph::kHopNeighborhood(
-                                 out.udg, static_cast<int>(v), opts.k);
+                                 out.udg, static_cast<int>(v), kHops);
                            }
                          });
   }
 
-  // k-localized triangles: all UDG triangles (u, v, w) whose circumcircle
-  // contains no node of N_k(u) u N_k(v) u N_k(w). Each candidate is tested
+  // 2-localized triangles: all UDG triangles (u, v, w) whose circumcircle
+  // contains no node of N_2(u) u N_2(v) u N_2(w). Each candidate is tested
   // once per triangle, u's neighbourhood first (in BFS order, so u's own
   // neighbours lead): a witness usually sits next to the triangle.
   {
@@ -275,13 +279,13 @@ LocalizedDelaunay buildLocalizedDelaunay(const std::vector<geom::Vec2>& points,
       }
     }
   }
-  // Release the k-hop sets before the planarizer allocates its own.
+  // Release the 2-hop sets before the planarizer allocates its own.
   khop.clear();
   khop.shrink_to_fit();
 
-  if (opts.planarize) {
+  {
     obs::ScopedSpan span("planarize");
-    // LDel^k is planar for k >= 2 (Li et al.) in general position. On
+    // LDel^2 is planar (Li et al.) in general position. On
     // degenerate input it is not: the Gabriel and circumcircle tests are
     // strict, so both diagonals of a cocircular quad survive, and this pass
     // removes one of them. Crossing pairs are resolved by dropping the

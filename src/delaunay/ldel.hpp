@@ -8,23 +8,21 @@
 
 namespace hybrid::delaunay {
 
-/// Result of the k-localized Delaunay construction (paper Definitions
-/// 2.2/2.3). The graph contains all edges of k-localized triangles plus all
-/// Gabriel edges; for k >= 2 it is planar (Li et al.) and a 1.998-spanner of
-/// the unit disk graph (Xia).
+/// Result of the 2-localized Delaunay construction (paper Definitions
+/// 2.2/2.3 with k = 2). The graph contains all edges of 2-localized
+/// triangles plus all Gabriel edges; it is planar (Li et al.) and a
+/// 1.998-spanner of the unit disk graph (Xia).
 struct LocalizedDelaunay {
-  graph::GeometricGraph graph;                 ///< LDel^k(V) as a geometric graph.
+  graph::GeometricGraph graph;                 ///< LDel^2(V) as a geometric graph.
   graph::GeometricGraph udg;                   ///< The underlying unit disk graph.
-  std::vector<std::array<int, 3>> triangles;   ///< k-localized triangles (sorted ids).
+  std::vector<std::array<int, 3>> triangles;   ///< 2-localized triangles (sorted ids).
   std::vector<std::pair<int, int>> gabrielEdges;  ///< Gabriel edges (u < v).
   int removedCrossings = 0;  ///< Edges dropped by the safety planarization.
 };
 
 /// Options for the construction.
 struct LDelOptions {
-  int k = 2;             ///< Hop locality of the emptiness test.
   double radius = 1.0;   ///< Unit disk (transmission) radius.
-  bool planarize = true; ///< Drop crossing non-Gabriel edges if any remain.
 
   /// Quasi-unit-disk (QUDG) radio model: links shorter than
   /// `reliableRadius` always exist; links in (reliableRadius, radius] are
@@ -36,15 +34,16 @@ struct LDelOptions {
   double dropProbability = 0.0;
   unsigned dropSeed = 1;
 
-  /// Worker threads for the construction (k-hop neighborhoods, Gabriel
+  /// Worker threads for the construction (2-hop neighborhoods, Gabriel
   /// and triangle tests). 0 = hardware concurrency. Chunked merging keeps
   /// the result bit-identical to a single-threaded build.
   int threads = 0;
 };
 
-/// Builds LDel^k(V). Each node's triangle test inspects only the k-hop
+/// Builds LDel^2(V). Each node's triangle test inspects only the 2-hop
 /// neighborhood in the UDG, mirroring the distributed protocol of Li et al.
-/// (paper section 5.1), executed here centrally.
+/// (paper section 5.1), executed here centrally. Crossing non-Gabriel
+/// edges left by degenerate input are then dropped (`removedCrossings`).
 LocalizedDelaunay buildLocalizedDelaunay(const std::vector<geom::Vec2>& points,
                                          const LDelOptions& opts = {});
 

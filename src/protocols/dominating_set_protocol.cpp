@@ -1,8 +1,7 @@
 #include "protocols/dominating_set_protocol.hpp"
-#include <cstdio>
-#include <cstdlib>
 
 #include <algorithm>
+#include <tuple>
 
 #include "obs/metrics.hpp"
 
@@ -157,14 +156,6 @@ class DsProtocol : public sim::Protocol {
     if (s.span == 0 || s.inDS) return;
     const bool isMax = std::make_tuple(s.span, s.prio, ctx.self()) >=
                        std::make_tuple(s.bestNearbySpan, s.bestNearbyPrio, s.bestNearbyId);
-    if (std::getenv("DS_DEBUG") != nullptr) {
-      std::fprintf(stderr,
-                   "[ds r=%d] node=%d span=%d prio=%llu best=(%d,%llu,%d) max=%d\n",
-                   ctx.round(), ctx.self(), s.span,
-                   static_cast<unsigned long long>(s.prio), s.bestNearbySpan,
-                   static_cast<unsigned long long>(s.bestNearbyPrio), s.bestNearbyId,
-                   static_cast<int>(isMax));
-    }
     if (!isMax || !coin(seed_, ctx.self(), ctx.round())) {
       // Not joining this super-round; re-open the next one.
       sendCovered(ctx);

@@ -6,6 +6,10 @@ namespace hybrid::routing {
 
 namespace {
 
+constexpr double kInitialCircleFactor = 1.4;  ///< Bounding circle starts at this * |ut|.
+constexpr double kCircleGrowth = 2.0;         ///< Growth factor when both sweeps hit it.
+constexpr int kMaxCircleGrowths = 24;
+
 // Greedy step: strictly closer neighbor, or -1 at a local minimum.
 graph::NodeId greedyStep(const graph::GeometricGraph& g, graph::NodeId cur,
                          geom::Vec2 pt) {
@@ -28,10 +32,10 @@ graph::NodeId GoafrRouter::facePhase(std::vector<graph::NodeId>& path, graph::No
                                      graph::NodeId target) const {
   const geom::Vec2 pt = g_.position(target);
   const double dU = geom::dist(g_.position(u), pt);
-  double r = opt_.rho0 * dU;
+  double r = kInitialCircleFactor * dU;
   const std::size_t maxSteps = 4 * g_.numEdges() + 16;
 
-  for (int growth = 0; growth < opt_.maxCircleGrowths; ++growth) {
+  for (int growth = 0; growth < kMaxCircleGrowths; ++growth) {
     for (const bool cwSweep : {true, false}) {
       graph::NodeId prev = u;
       graph::NodeId cur = cwSweep ? rot_.firstCw(u, pt) : rot_.firstCcw(u, pt);
@@ -76,7 +80,7 @@ graph::NodeId GoafrRouter::facePhase(std::vector<graph::NodeId>& path, graph::No
         return -1;
       }
     }
-    r *= opt_.rho;  // both directions hit the circle: enlarge and retry
+    r *= kCircleGrowth;  // both directions hit the circle: enlarge and retry
   }
   return -1;
 }

@@ -8,19 +8,13 @@ namespace hybrid::routing {
 /// GOAFR+-style routing (Kuhn, Wattenhofer, Zollinger; the paper's §1.4
 /// worst-case-optimal local baseline): greedy until a local minimum, then
 /// face traversal (right/left-hand rule on the planar graph) bounded by a
-/// circle centered at the target. The circle starts at `rho0 * |ut|` and
-/// doubles whenever both traversal directions hit it, which is what makes
-/// the strategy O(rho^2)-competitive instead of unbounded.
-struct GoafrOptions {
-  double rho0 = 1.4;       ///< Initial bounding-circle factor.
-  double rho = 2.0;        ///< Circle growth factor on double-hit.
-  int maxCircleGrowths = 24;
-};
-
+/// circle centered at the target. The circle starts at 1.4 * |ut| and
+/// doubles whenever both traversal directions hit it (at most 24 times),
+/// which is what makes the strategy O(rho^2)-competitive instead of
+/// unbounded.
 class GoafrRouter : public Router {
  public:
-  GoafrRouter(const graph::GeometricGraph& planar, GoafrOptions options = {})
-      : g_(planar), rot_(planar), opt_(options) {}
+  explicit GoafrRouter(const graph::GeometricGraph& planar) : g_(planar), rot_(planar) {}
 
   RouteResult route(graph::NodeId source, graph::NodeId target) const override;
   std::string name() const override { return "goafr+"; }
@@ -34,7 +28,6 @@ class GoafrRouter : public Router {
 
   const graph::GeometricGraph& g_;
   graph::RotationSystem rot_;
-  GoafrOptions opt_;
 };
 
 }  // namespace hybrid::routing

@@ -16,12 +16,6 @@ namespace hybrid::routing {
 struct HybridOptions {
   SiteMode sites = SiteMode::HullNodes;   ///< §4 (hulls) or §3 (all hole nodes).
   EdgeMode edges = EdgeMode::Delaunay;    ///< Overlay edges: O(h) vs Theta(h^2).
-  bool bayRouting = true;                 ///< §4.4 cases 2-5 handling.
-  /// Post-process delivered paths by shortcutting hops whose endpoints are
-  /// directly connected (classic path pruning; every node on the path can
-  /// apply it locally from its neighbor knowledge). Off by default so the
-  /// measured stretch reflects the paper's protocol alone.
-  bool prunePaths = false;
   /// Site-pair backend of the visibility overlay: dense h^2 table, hub
   /// labels, or size-based auto selection.
   TableMode table = TableMode::Auto;
@@ -138,7 +132,6 @@ class HybridRouter : public Router {
   /// resume. False when the current node is off-ring or already nearest.
   bool ringWalkTowards(std::vector<graph::NodeId>& path, int holeIdx,
                        graph::NodeId target) const;
-  void prunePath(std::vector<graph::NodeId>& path) const;
 
   const graph::GeometricGraph& g_;
   const holes::HoleAnalysis& analysis_;

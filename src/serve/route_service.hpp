@@ -53,7 +53,7 @@ struct EpochStats {
   int offered = 0;   ///< Updates popped from the queue this epoch.
   int arrived = 0;   ///< After the fault filter (dups in, drops/delays out).
   int applied = 0;
-  int rejected = 0;  ///< Stale index / duplicate point / minNodes floor / ...
+  int rejected = 0;  ///< Stale index / duplicate point / node floor / ...
   int evicted = 0;   ///< Nodes removed by obstacles or the connectivity filter.
   int totalRings = 0;
   int changedRings = 0;  ///< E12-style boundary-ring membership diff vs prev.
@@ -66,8 +66,6 @@ struct ServiceOptions {
   delaunay::LDelOptions ldel;      ///< Radio model. A default-constructed value
                                    ///< adopts the initial scenario's radius.
   routing::HybridOptions router;   ///< Router/overlay configuration.
-  std::size_t maxUpdatesPerEpoch = 64;  ///< Queue drain bound per epoch.
-  std::size_t minNodes = 8;        ///< Floor below which removals are rejected.
   sim::FaultConfig updateFaults;   ///< Fault injection on the update stream.
 };
 
@@ -90,6 +88,13 @@ struct ServiceOptions {
 /// slab adopted) — never approximate patching.
 class RouteService {
  public:
+  /// Queue drain bound: updates popped per applyUpdates() epoch.
+  static constexpr std::size_t kMaxUpdatesPerEpoch = 64;
+  /// Node floor: no batch takes an epoch below it, so a deployment that
+  /// starts with at least kMinNodes nodes keeps ids 0..kMinNodes-1 valid
+  /// in every epoch.
+  static constexpr std::size_t kMinNodes = 8;
+
   explicit RouteService(scenario::Scenario initial, ServiceOptions options = {});
 
   /// Pins the current epoch. Hold the pointer for as long as the epoch is
@@ -107,7 +112,7 @@ class RouteService {
   void enqueue(std::vector<scenario::Update> updates);
   std::size_t pendingUpdates() const;
 
-  /// Applies one epoch's worth of updates (up to maxUpdatesPerEpoch through
+  /// Applies one epoch's worth of updates (up to kMaxUpdatesPerEpoch through
   /// the fault filter), builds the next snapshot and publishes it. Always
   /// advances the epoch, even when everything was rejected — an empty epoch
   /// is a Reused republish. Updater thread only.

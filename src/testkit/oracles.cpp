@@ -278,7 +278,7 @@ OracleResult checkOverlayParity(const CaseContext& ctx) {
 
   for (const routing::EdgeMode em :
        {routing::EdgeMode::Visibility, routing::EdgeMode::Delaunay}) {
-    routing::HybridOptions opts{routing::SiteMode::HullNodes, em, true};
+    routing::HybridOptions opts{.sites = routing::SiteMode::HullNodes, .edges = em};
     opts.table = ctx.tableMode();
     opts.abstraction = ctx.abstractionMode();
     const auto router = net.makeRouter(opts);
@@ -398,7 +398,7 @@ OracleResult checkCompetitiveBound(const CaseContext& ctx) {
       {routing::EdgeMode::Delaunay, 35.37, "delaunay"},
   };
   for (const auto& [mode, bound, label] : routers) {
-    routing::HybridOptions opts{routing::SiteMode::AllHoleNodes, mode, true};
+    routing::HybridOptions opts{.sites = routing::SiteMode::AllHoleNodes, .edges = mode};
     opts.table = ctx.tableMode();
     const auto router = net.makeRouter(opts);
     for (std::size_t i = 0; i < ctx.pairs().size(); ++i) {
@@ -714,10 +714,9 @@ OracleResult checkSimDeliveryParity(const CaseContext& ctx) {
 
 OracleResult checkLabelParity(const CaseContext& ctx) {
   const auto& net = ctx.net();
-  routing::HybridOptions lopts{routing::SiteMode::HullNodes, routing::EdgeMode::Visibility,
-                               true};
-  lopts.table = routing::TableMode::HubLabels;
-  const auto labelRouter = net.makeRouter(lopts);
+  const auto labelRouter = net.makeRouter({.sites = routing::SiteMode::HullNodes,
+                                           .edges = routing::EdgeMode::Visibility,
+                                           .table = routing::TableMode::HubLabels});
   const routing::OverlayGraph& lov = labelRouter->overlay();
   if (lov.sites().empty()) return skipResult();  // hole-free: no labels to check
   if (!lov.usesHubLabels()) {
@@ -801,10 +800,9 @@ OracleResult checkLabelParity(const CaseContext& ctx) {
   }
 
   // End-to-end query parity against the dense backend.
-  routing::HybridOptions dopts{routing::SiteMode::HullNodes, routing::EdgeMode::Visibility,
-                               true};
-  dopts.table = routing::TableMode::Dense;
-  const auto denseRouter = net.makeRouter(dopts);
+  const auto denseRouter = net.makeRouter({.sites = routing::SiteMode::HullNodes,
+                                           .edges = routing::EdgeMode::Visibility,
+                                           .table = routing::TableMode::Dense});
   const routing::OverlayGraph& dov = denseRouter->overlay();
   const auto bbox = geom::BBox::of(net.ldel().positions());
   std::uniform_real_distribution<double> dx(bbox.lo.x, bbox.hi.x);
@@ -1036,7 +1034,7 @@ OracleResult checkBBoxParity(const CaseContext& ctx) {
   for (const routing::EdgeMode em :
        {routing::EdgeMode::Visibility, routing::EdgeMode::Delaunay}) {
     const char* label = em == routing::EdgeMode::Visibility ? "visibility" : "delaunay";
-    routing::HybridOptions opts{routing::SiteMode::HullNodes, em, true};
+    routing::HybridOptions opts{.sites = routing::SiteMode::HullNodes, .edges = em};
     opts.table = ctx.tableMode();
     opts.abstraction = routing::AbstractionMode::BBox;
     const auto router = net.makeRouter(opts);
@@ -1120,8 +1118,8 @@ OracleResult checkBBoxParity(const CaseContext& ctx) {
 
 OracleResult checkChurnServing(const CaseContext& ctx) {
   // Every epoch is cross-checked against a from-scratch build, so cap the
-  // size to keep the fuzz loop fast; tiny cases churn straight through the
-  // minNodes floor and prove nothing.
+  // size to keep the fuzz loop fast; tiny cases churn straight into the
+  // RouteService::kMinNodes floor and prove nothing.
   if (ctx.scenario().points.size() < 12 || ctx.scenario().points.size() > 250) {
     return skipResult();
   }

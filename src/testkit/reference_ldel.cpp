@@ -176,7 +176,7 @@ delaunay::LocalizedDelaunay referenceLocalizedDelaunay(const std::vector<geom::V
   util::parallelChunks(static_cast<std::size_t>(n), threads,
                        [&](std::size_t begin, std::size_t end, unsigned) {
                          for (std::size_t v = begin; v < end; ++v) {
-                           khop[v] = kHopNeighborhood(out.udg, static_cast<int>(v), opts.k);
+                           khop[v] = kHopNeighborhood(out.udg, static_cast<int>(v), 2);
                          }
                        });
 
@@ -249,7 +249,6 @@ delaunay::LocalizedDelaunay referenceLocalizedDelaunay(const std::vector<geom::V
     }
   }
 
-  if (!opts.planarize) return out;
   std::unordered_set<long long> gabriel;
   for (const auto& [u, v] : out.gabrielEdges) gabriel.insert(static_cast<long long>(u) * n + v);
   auto isGabriel = [&](int u, int v) {

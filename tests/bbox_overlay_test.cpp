@@ -37,7 +37,7 @@ scenario::Scenario makeScenario(const char* generator, std::uint64_t seed) {
 
 routing::HybridOptions bboxOptions(routing::EdgeMode edges,
                                    routing::AbstractionMode mode) {
-  routing::HybridOptions opts{routing::SiteMode::HullNodes, edges, true};
+  routing::HybridOptions opts{.sites = routing::SiteMode::HullNodes, .edges = edges};
   opts.abstraction = mode;
   return opts;
 }

@@ -63,7 +63,7 @@ TEST(HybridNetwork, MakeRouterIsIndependentOfDefault) {
   const auto sc = scenario::makeScenario(scenario::paramsForNodeCount(250, 74));
   HybridNetwork net(sc.points);
   auto custom = net.makeRouter(
-      {routing::SiteMode::AllHoleNodes, routing::EdgeMode::Visibility, false});
+      {.sites = routing::SiteMode::AllHoleNodes, .edges = routing::EdgeMode::Visibility});
   const auto a = net.route(1, 200);
   const auto b = custom->route(1, 200);
   EXPECT_TRUE(a.delivered);

@@ -283,24 +283,5 @@ TEST(Ldel, PlanarConnectedSpanner) {
   }
 }
 
-TEST(Ldel, HigherKRemovesMoreTriangles) {
-  auto sc = scenario::makeScenario(scenario::paramsForNodeCount(300, 17));
-  LDelOptions k1;
-  k1.k = 1;
-  LDelOptions k2;
-  k2.k = 2;
-  LDelOptions k3;
-  k3.k = 3;
-  const auto l1 = buildLocalizedDelaunay(sc.points, k1);
-  const auto l2 = buildLocalizedDelaunay(sc.points, k2);
-  const auto l3 = buildLocalizedDelaunay(sc.points, k3);
-  EXPECT_GE(l1.triangles.size(), l2.triangles.size());
-  EXPECT_GE(l2.triangles.size(), l3.triangles.size());
-  // LDel^2 edges are a superset of LDel^3 edges.
-  for (const auto& [u, v] : l3.graph.edges()) {
-    EXPECT_TRUE(l2.graph.hasEdge(u, v) || l2.removedCrossings > 0);
-  }
-}
-
 }  // namespace
 }  // namespace hybrid::delaunay

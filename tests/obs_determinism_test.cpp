@@ -118,7 +118,7 @@ TEST(ObsDeterminism, RouteBatchIdenticalWithMetricsOnAndOff) {
   const auto sc = scenario::makeScenario(p);
   core::HybridNetwork net(sc.points);
   const auto router = net.makeRouter(
-      {routing::SiteMode::HullNodes, routing::EdgeMode::Visibility, true});
+      {.sites = routing::SiteMode::HullNodes, .edges = routing::EdgeMode::Visibility});
 
   std::vector<routing::RoutePair> pairs;
   const int n = static_cast<int>(net.ldel().numNodes());

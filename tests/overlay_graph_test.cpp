@@ -91,16 +91,16 @@ TEST_F(OverlayFixture, SameStartAndEnd) {
 }
 
 TEST_F(OverlayFixture, VisibilityModeHasMoreEdgesThanDelaunay) {
-  auto vis = net_->makeRouter({SiteMode::HullNodes, EdgeMode::Visibility, true});
-  auto del = net_->makeRouter({SiteMode::HullNodes, EdgeMode::Delaunay, true});
+  auto vis = net_->makeRouter({.sites = SiteMode::HullNodes, .edges = EdgeMode::Visibility});
+  auto del = net_->makeRouter({.sites = SiteMode::HullNodes, .edges = EdgeMode::Delaunay});
   EXPECT_GT(vis->overlay().numPrecomputedEdges(), del->overlay().numPrecomputedEdges());
   EXPECT_EQ(vis->overlay().sites().size(), del->overlay().sites().size());
 }
 
 TEST_F(OverlayFixture, BoundarySitesAreASupersetOfHullSites) {
-  auto hull = net_->makeRouter({SiteMode::HullNodes, EdgeMode::Delaunay, true});
-  auto bnd = net_->makeRouter({SiteMode::AllHoleNodes, EdgeMode::Delaunay, true});
-  auto lch = net_->makeRouter({SiteMode::LocallyConvexHull, EdgeMode::Delaunay, true});
+  auto hull = net_->makeRouter({.sites = SiteMode::HullNodes, .edges = EdgeMode::Delaunay});
+  auto bnd = net_->makeRouter({.sites = SiteMode::AllHoleNodes, .edges = EdgeMode::Delaunay});
+  auto lch = net_->makeRouter({.sites = SiteMode::LocallyConvexHull, .edges = EdgeMode::Delaunay});
   const auto& hs = hull->overlay().sites();
   const auto& bs = bnd->overlay().sites();
   const auto& ls = lch->overlay().sites();

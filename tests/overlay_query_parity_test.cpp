@@ -64,7 +64,7 @@ TEST(OverlayParity, IncrementalEngineMatchesLegacyRebuild) {
     const core::HybridNetwork net(sc.points);
     for (const EdgeMode em : {EdgeMode::Visibility, EdgeMode::Delaunay}) {
       for (const SiteMode sm : {SiteMode::HullNodes, SiteMode::AllHoleNodes}) {
-        const auto router = net.makeRouter({sm, em, true});
+        const auto router = net.makeRouter({.sites = sm, .edges = em});
         const OverlayGraph& overlay = router->overlay();
         ASSERT_FALSE(overlay.sites().empty()) << "seed=" << pc.seed;
         EXPECT_EQ(overlay.servesIncrementally(), em == EdgeMode::Visibility);
@@ -130,9 +130,9 @@ TEST(OverlayParity, HubLabelBackendMatchesDense) {
     const auto sc = scenario::makeScenario(p);
     const core::HybridNetwork net(sc.points);
     for (const SiteMode sm : {SiteMode::HullNodes, SiteMode::AllHoleNodes}) {
-      HybridOptions denseOpts{sm, EdgeMode::Visibility, true};
+      HybridOptions denseOpts{.sites = sm, .edges = EdgeMode::Visibility};
       denseOpts.table = TableMode::Dense;
-      HybridOptions labelOpts{sm, EdgeMode::Visibility, true};
+      HybridOptions labelOpts{.sites = sm, .edges = EdgeMode::Visibility};
       labelOpts.table = TableMode::HubLabels;
       const auto denseRouter = net.makeRouter(denseOpts);
       const auto labelRouter = net.makeRouter(labelOpts);
@@ -325,7 +325,8 @@ TEST(OverlayParity, HullTangentSweepMatchesRebuild) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const auto sc = gen->make(seed);
     const core::HybridNetwork net(sc.points, sc.radius);
-    const auto router = net.makeRouter({SiteMode::HullNodes, EdgeMode::Visibility, true});
+    const auto router =
+        net.makeRouter({.sites = SiteMode::HullNodes, .edges = EdgeMode::Visibility});
     const OverlayGraph& overlay = router->overlay();
     if (overlay.sites().empty()) continue;
 

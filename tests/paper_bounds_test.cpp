@@ -42,9 +42,9 @@ TEST_P(PaperBounds, RoutersStayUnderTheirCompetitiveCeilings) {
   const auto sc = makeInstance();
   core::HybridNetwork net(sc.points);
   auto visRouter = net.makeRouter(
-      {routing::SiteMode::AllHoleNodes, routing::EdgeMode::Visibility, true});
+      {.sites = routing::SiteMode::AllHoleNodes, .edges = routing::EdgeMode::Visibility});
   auto delRouter = net.makeRouter(
-      {routing::SiteMode::AllHoleNodes, routing::EdgeMode::Delaunay, true});
+      {.sites = routing::SiteMode::AllHoleNodes, .edges = routing::EdgeMode::Delaunay});
 
   std::mt19937 rng(9);
   std::uniform_int_distribution<int> pick(0, static_cast<int>(sc.points.size()) - 1);

@@ -159,7 +159,7 @@ TEST(QueryEngine, OverlayWorkspaceQueriesAreAllocationFree) {
   const auto sc = scenario::makeScenario(p);
   const core::HybridNetwork net(sc.points);
   const auto router =
-      net.makeRouter({SiteMode::HullNodes, EdgeMode::Visibility, true});
+      net.makeRouter({.sites = SiteMode::HullNodes, .edges = EdgeMode::Visibility});
   const OverlayGraph& overlay = router->overlay();
   ASSERT_TRUE(overlay.servesIncrementally());
 
@@ -195,7 +195,7 @@ TEST(QueryEngine, HubLabelWorkspaceQueriesAreAllocationFree) {
   p.obstacles.push_back(scenario::rectangleObstacle({5.0, 5.0}, {9.0, 9.0}));
   const auto sc = scenario::makeScenario(p);
   const core::HybridNetwork net(sc.points);
-  HybridOptions opts{SiteMode::HullNodes, EdgeMode::Visibility, true};
+  HybridOptions opts{.sites = SiteMode::HullNodes, .edges = EdgeMode::Visibility};
   opts.table = TableMode::HubLabels;
   const auto router = net.makeRouter(opts);
   const OverlayGraph& overlay = router->overlay();

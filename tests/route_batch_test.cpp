@@ -70,7 +70,8 @@ TEST_F(RouteBatchFixture, HybridRouterBatchIsIdenticalToSerialAtAnyThreadCount) 
 
 TEST_F(RouteBatchFixture, VisibilityOverlayRouterBatchMatchesSerial) {
   // The incremental overlay serving path under concurrency.
-  const auto router = net_->makeRouter({SiteMode::HullNodes, EdgeMode::Visibility, true});
+  const auto router =
+      net_->makeRouter({.sites = SiteMode::HullNodes, .edges = EdgeMode::Visibility});
   const auto pairs = randomPairs(net_->ldel().numNodes(), 21, 32);
 
   std::vector<RouteResult> serial;
@@ -86,7 +87,7 @@ TEST_F(RouteBatchFixture, HubLabelOverlayRouterBatchMatchesSerial) {
   // Same contract as the visibility-overlay batch test, but with the
   // site-pair table served from hub labels: the workspace-per-thread
   // query path must stay deterministic across thread counts.
-  HybridOptions opts{SiteMode::HullNodes, EdgeMode::Visibility, true};
+  HybridOptions opts{.sites = SiteMode::HullNodes, .edges = EdgeMode::Visibility};
   opts.table = TableMode::HubLabels;
   const auto router = net_->makeRouter(opts);
   ASSERT_TRUE(router->overlay().usesHubLabels());
@@ -103,7 +104,7 @@ TEST_F(RouteBatchFixture, HubLabelOverlayRouterBatchMatchesSerial) {
   }
 
   // And the label backend agrees with the dense backend route for route.
-  HybridOptions denseOpts{SiteMode::HullNodes, EdgeMode::Visibility, true};
+  HybridOptions denseOpts{.sites = SiteMode::HullNodes, .edges = EdgeMode::Visibility};
   denseOpts.table = TableMode::Dense;
   const auto denseRouter = net_->makeRouter(denseOpts);
   for (const auto& p : pairs) {

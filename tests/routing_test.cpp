@@ -117,9 +117,9 @@ TEST_F(RoutingFixture, AllRoutersProduceValidPaths) {
   routing::CompassRouter compass(net_->ldel());
   routing::FaceGreedyRouter face(net_->ldel(), net_->subdivision(), net_->holes());
   auto hullVis = net_->makeRouter(
-      {routing::SiteMode::HullNodes, routing::EdgeMode::Visibility, true});
+      {.sites = routing::SiteMode::HullNodes, .edges = routing::EdgeMode::Visibility});
   auto bndDel = net_->makeRouter(
-      {routing::SiteMode::AllHoleNodes, routing::EdgeMode::Delaunay, true});
+      {.sites = routing::SiteMode::AllHoleNodes, .edges = routing::EdgeMode::Delaunay});
 
   std::mt19937 rng(17);
   std::uniform_int_distribution<int> pick(0, static_cast<int>(net_->ldel().numNodes()) - 1);
@@ -253,13 +253,14 @@ TEST(RoutingConfig, RouterNamesReflectConfiguration) {
   const auto sc = scenario::makeScenario(scenario::paramsForNodeCount(200, 41));
   core::HybridNetwork net(sc.points);
   EXPECT_EQ(net.router().name(), "hybrid-hull-delaunay");
-  auto r1 = net.makeRouter({routing::SiteMode::HullNodes, routing::EdgeMode::Visibility, true});
+  auto r1 = net.makeRouter(
+      {.sites = routing::SiteMode::HullNodes, .edges = routing::EdgeMode::Visibility});
   EXPECT_EQ(r1->name(), "hybrid-hull-visibility");
-  auto r2 =
-      net.makeRouter({routing::SiteMode::AllHoleNodes, routing::EdgeMode::Delaunay, true});
+  auto r2 = net.makeRouter(
+      {.sites = routing::SiteMode::AllHoleNodes, .edges = routing::EdgeMode::Delaunay});
   EXPECT_EQ(r2->name(), "hybrid-boundary-delaunay");
   auto r3 = net.makeRouter(
-      {routing::SiteMode::LocallyConvexHull, routing::EdgeMode::Delaunay, true});
+      {.sites = routing::SiteMode::LocallyConvexHull, .edges = routing::EdgeMode::Delaunay});
   EXPECT_EQ(r3->name(), "hybrid-lch-delaunay");
   routing::HybridOptions bbox;
   bbox.abstraction = routing::AbstractionMode::BBox;

@@ -171,7 +171,7 @@ bool sameResult(const routing::RouteResult& a, const routing::RouteResult& b) {
 TEST(ThreadScaling, RouteBatchIdenticalAtOneTwoFourEightThreads) {
   const auto net = batchNetwork();
   const auto router = net.makeRouter(
-      {routing::SiteMode::HullNodes, routing::EdgeMode::Visibility, true});
+      {.sites = routing::SiteMode::HullNodes, .edges = routing::EdgeMode::Visibility});
   const auto pairs = batchPairs(net, 96);
   const auto serial = router->routeBatch(pairs, 1);
   ASSERT_EQ(serial.size(), pairs.size());
@@ -226,7 +226,7 @@ TEST(ThreadScaling, RouteBatchWallClockBeatsSerial) {
   const int threads = static_cast<int>(std::min(8u, hw));
   const auto net = batchNetwork();
   const auto router = net.makeRouter(
-      {routing::SiteMode::HullNodes, routing::EdgeMode::Visibility, true});
+      {.sites = routing::SiteMode::HullNodes, .edges = routing::EdgeMode::Visibility});
   const auto pairs = batchPairs(net, 2048);
   const double serial = bestOfSeconds(3, [&] { router->routeBatch(pairs, 1); });
   const double parallel = bestOfSeconds(3, [&] { router->routeBatch(pairs, threads); });
