@@ -53,10 +53,6 @@ int inCircleExact(Vec2 a, Vec2 b, Vec2 c, Vec2 d) {
 
 }  // namespace
 
-double orientValue(Vec2 a, Vec2 b, Vec2 c) {
-  return (a.x - c.x) * (b.y - c.y) - (a.y - c.y) * (b.x - c.x);
-}
-
 int orient(Vec2 a, Vec2 b, Vec2 c) {
   const double detleft = (a.x - c.x) * (b.y - c.y);
   const double detright = (a.y - c.y) * (b.x - c.x);

@@ -18,9 +18,6 @@ namespace hybrid::geom {
 ///   0 if collinear.
 int orient(Vec2 a, Vec2 b, Vec2 c);
 
-/// Signed area*2 of triangle (a,b,c), approximate (no exact fallback).
-double orientValue(Vec2 a, Vec2 b, Vec2 c);
-
 /// In-circle test: +1 if d lies strictly inside the circle through a, b, c
 /// (which must be in counter-clockwise order), -1 if strictly outside,
 /// 0 if cocircular. For clockwise (a,b,c) the sign flips.

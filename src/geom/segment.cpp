@@ -66,10 +66,6 @@ Vec2 closestPointOnSegment(Vec2 p, const Segment& s) {
   return s.a + d * t;
 }
 
-double pointSegmentDistance2(Vec2 p, const Segment& s) {
-  return dist2(p, closestPointOnSegment(p, s));
-}
-
 double pointSegmentDistance(Vec2 p, const Segment& s) {
   return dist(p, closestPointOnSegment(p, s));
 }

@@ -35,9 +35,6 @@ std::optional<Vec2> segmentIntersectionPoint(const Segment& s, const Segment& t)
 /// Euclidean distance from point p to the closed segment.
 double pointSegmentDistance(Vec2 p, const Segment& s);
 
-/// Squared distance from point p to the closed segment.
-double pointSegmentDistance2(Vec2 p, const Segment& s);
-
 /// Closest point on the closed segment to p.
 Vec2 closestPointOnSegment(Vec2 p, const Segment& s);
 

@@ -105,33 +105,6 @@ std::string toJson(const Snapshot& s) {
   return out;
 }
 
-std::string toCsv(const Snapshot& s) {
-  std::string out = "kind,name,value\n";
-  for (const auto& [name, v] : s.counters) {
-    out += "counter," + name + "," + std::to_string(v) + "\n";
-  }
-  for (const auto& [name, v] : s.gauges) {
-    out += "gauge," + name + ",";
-    appendDouble(out, v);
-    out += "\n";
-  }
-  for (const auto& [name, h] : s.histograms) {
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      out += "histogram," + name + "[le=";
-      if (i < h.bounds.size()) {
-        appendDouble(out, h.bounds[i]);
-      } else {
-        out += "+inf";
-      }
-      out += "]," + std::to_string(h.counts[i]) + "\n";
-    }
-  }
-  for (const auto& sp : s.spans) {
-    out += "span," + sp.path + "," + std::to_string(sp.totalNs) + "\n";
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Minimal recursive-descent JSON reader — just enough for the schema above
 // (and tolerant of unknown keys). Numbers parse with strtod, which

@@ -47,9 +47,6 @@ struct Snapshot {
 Snapshot capture();
 
 std::string toJson(const Snapshot& s);
-/// One `kind,name,value` row per counter/gauge plus per-histogram-bucket
-/// `histogram,<name>[le=<bound>],<count>` rows.
-std::string toCsv(const Snapshot& s);
 /// Parses toJson() output (tolerates unknown keys); nullopt when malformed.
 std::optional<Snapshot> fromJson(const std::string& json);
 

@@ -5,22 +5,6 @@
 
 namespace hybrid::scenario {
 
-const char* updateKindName(UpdateKind kind) {
-  switch (kind) {
-    case UpdateKind::Join:
-      return "join";
-    case UpdateKind::Leave:
-      return "leave";
-    case UpdateKind::Move:
-      return "move";
-    case UpdateKind::ObstacleAdd:
-      return "obstacle_add";
-    case UpdateKind::ObstacleRemove:
-      break;
-  }
-  return "obstacle_remove";
-}
-
 std::vector<std::vector<Update>> makeChurnTrace(const Scenario& initial,
                                                 const ChurnParams& params) {
   // Shadow state the generator evolves optimistically: positions for move

@@ -22,8 +22,6 @@ enum class UpdateKind {
   ObstacleRemove,  ///< Remove obstacle `obstacle` (nodes do not return).
 };
 
-const char* updateKindName(UpdateKind kind);
-
 struct Update {
   UpdateKind kind = UpdateKind::Move;
   int node = -1;                ///< Leave/Move: index into the current points.
