@@ -1,42 +1,17 @@
 #include "testkit/corpus.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include "util/json.hpp"
 
 namespace hybrid::testkit {
 
 namespace {
 
-void appendEscaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-}
-
-void appendDouble(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
+namespace json = util::json;
 
 void appendPointList(std::string& out, const std::vector<geom::Vec2>& pts,
                      const char* indent) {
@@ -46,160 +21,28 @@ void appendPointList(std::string& out, const std::vector<geom::Vec2>& pts,
     out += '\n';
     out += indent;
     out += '[';
-    appendDouble(out, pts[i].x);
+    json::appendNumber(out, pts[i].x);
     out += ", ";
-    appendDouble(out, pts[i].y);
+    json::appendNumber(out, pts[i].y);
     out += ']';
   }
   out += ']';
 }
 
-/// Minimal recursive-descent JSON reader, sufficient for the corpus schema
-/// (objects, arrays, strings, numbers). Unknown keys are skipped so the
-/// format can grow without breaking old readers.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : s_(text) {}
-
-  bool ok() const { return ok_; }
-  void fail() { ok_ = false; }
-
-  void skipWs() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-
-  bool consume(char c) {
-    skipWs();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  char peek() {
-    skipWs();
-    return pos_ < s_.size() ? s_[pos_] : '\0';
-  }
-
-  std::string parseString() {
-    skipWs();
-    std::string out;
-    if (pos_ >= s_.size() || s_[pos_] != '"') {
-      fail();
-      return out;
-    }
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) {
-        const char esc = s_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            // Only the \u00XX escapes we emit are supported.
-            if (pos_ + 4 > s_.size()) {
-              fail();
-              return out;
-            }
-            c = static_cast<char>(std::strtol(s_.substr(pos_, 4).c_str(), nullptr, 16));
-            pos_ += 4;
-            break;
-          }
-          default: c = esc;
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= s_.size()) {
-      fail();
-      return out;
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  double parseNumber() {
-    skipWs();
-    const char* start = s_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) {
-      fail();
-      return 0.0;
-    }
-    pos_ += static_cast<std::size_t>(end - start);
-    return v;
-  }
-
-  std::uint64_t parseUint64() {
-    skipWs();
-    const char* start = s_.c_str() + pos_;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(start, &end, 10);
-    if (end == start) {
-      fail();
-      return 0;
-    }
-    pos_ += static_cast<std::size_t>(end - start);
-    return static_cast<std::uint64_t>(v);
-  }
-
-  /// Skips one value of any supported type (for unknown keys).
-  void skipValue() {
-    const char c = peek();
-    if (c == '"') {
-      parseString();
-    } else if (c == '[') {
-      consume('[');
-      if (consume(']')) return;
-      do {
-        skipValue();
-      } while (ok_ && consume(','));
-      if (!consume(']')) fail();
-    } else if (c == '{') {
-      consume('{');
-      if (consume('}')) return;
-      do {
-        parseString();
-        if (!consume(':')) fail();
-        skipValue();
-      } while (ok_ && consume(','));
-      if (!consume('}')) fail();
-    } else {
-      parseNumber();
-    }
-  }
-
-  std::vector<geom::Vec2> parsePointList() {
-    std::vector<geom::Vec2> pts;
-    if (!consume('[')) {
-      fail();
-      return pts;
-    }
-    if (consume(']')) return pts;
-    do {
-      if (!consume('[')) {
-        fail();
-        return pts;
-      }
-      geom::Vec2 p;
-      p.x = parseNumber();
-      if (!consume(',')) fail();
-      p.y = parseNumber();
-      if (!consume(']')) fail();
-      pts.push_back(p);
-    } while (ok_ && consume(','));
-    if (!consume(']')) fail();
-    return pts;
-  }
-
- private:
-  const std::string& s_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
+/// A list of [x, y] pairs; any other element shape fails the reader.
+std::vector<geom::Vec2> readPointList(json::Reader& r) {
+  std::vector<geom::Vec2> pts;
+  r.array([&] {
+    geom::Vec2 p;
+    r.consume('[');
+    p.x = r.number();
+    r.consume(',');
+    p.y = r.number();
+    r.consume(']');
+    pts.push_back(p);
+  });
+  return pts;
+}
 
 }  // namespace
 
@@ -207,14 +50,14 @@ std::string toJson(const CorpusCase& c) {
   std::string out = "{\n";
   out += "  \"schema\": \"hybrid-testkit-case-v1\",\n";
   out += "  \"generator\": ";
-  appendEscaped(out, c.generator);
+  json::appendString(out, c.generator);
   out += ",\n  \"seed\": " + std::to_string(c.seed) + ",\n";
   out += "  \"oracle\": ";
-  appendEscaped(out, c.oracle);
+  json::appendString(out, c.oracle);
   out += ",\n  \"note\": ";
-  appendEscaped(out, c.note);
+  json::appendString(out, c.note);
   out += ",\n  \"radius\": ";
-  appendDouble(out, c.scenario.radius);
+  json::appendNumber(out, c.scenario.radius);
   out += ",\n  \"points\": ";
   appendPointList(out, c.scenario.points, "    ");
   out += ",\n  \"obstacles\": [";
@@ -227,41 +70,29 @@ std::string toJson(const CorpusCase& c) {
   return out;
 }
 
-std::optional<CorpusCase> fromJson(const std::string& json) {
-  JsonReader r(json);
+std::optional<CorpusCase> fromJson(const std::string& text) {
+  json::Reader r(text);
   CorpusCase c;
-  if (!r.consume('{')) return std::nullopt;
-  if (r.peek() != '}') {
-    do {
-      const std::string key = r.parseString();
-      if (!r.consume(':')) return std::nullopt;
-      if (key == "generator") {
-        c.generator = r.parseString();
-      } else if (key == "seed") {
-        c.seed = r.parseUint64();
-      } else if (key == "oracle") {
-        c.oracle = r.parseString();
-      } else if (key == "note") {
-        c.note = r.parseString();
-      } else if (key == "radius") {
-        c.scenario.radius = r.parseNumber();
-      } else if (key == "points") {
-        c.scenario.points = r.parsePointList();
-      } else if (key == "obstacles") {
-        if (!r.consume('[')) return std::nullopt;
-        if (!r.consume(']')) {
-          do {
-            c.scenario.obstacles.emplace_back(r.parsePointList());
-          } while (r.ok() && r.consume(','));
-          if (!r.consume(']')) return std::nullopt;
-        }
-      } else {
-        r.skipValue();
-      }
-      if (!r.ok()) return std::nullopt;
-    } while (r.consume(','));
-  }
-  if (!r.consume('}')) return std::nullopt;
+  r.object([&](const std::string& key) {
+    if (key == "generator") {
+      c.generator = r.string();
+    } else if (key == "seed") {
+      c.seed = r.uint64();
+    } else if (key == "oracle") {
+      c.oracle = r.string();
+    } else if (key == "note") {
+      c.note = r.string();
+    } else if (key == "radius") {
+      c.scenario.radius = r.number();
+    } else if (key == "points") {
+      c.scenario.points = readPointList(r);
+    } else if (key == "obstacles") {
+      r.array([&] { c.scenario.obstacles.emplace_back(readPointList(r)); });
+    } else {
+      r.skip();
+    }
+  });
+  if (!r.ok()) return std::nullopt;
   if (c.scenario.points.empty() || c.scenario.radius <= 0.0) return std::nullopt;
   return c;
 }

@@ -118,11 +118,13 @@ TEST(Testkit, CorpusRejectsMalformedInput) {
   EXPECT_FALSE(fromJson("{\"radius\": 1, \"points\": [[1,").has_value());
   EXPECT_FALSE(loadCase("/nonexistent/path/case.json").has_value());
   EXPECT_TRUE(listCorpus("/nonexistent/dir").empty());
-  // Unknown keys are tolerated (forward compatibility).
-  const auto c = fromJson(
-      "{\"radius\": 1.0, \"points\": [[0,0],[1,0]], \"future_key\": {\"x\": [1, \"y\"]}}");
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->scenario.points.size(), 2u);
+  // Unknown keys are tolerated (forward compatibility), whatever their value.
+  for (const char* value : {"{\"x\": [1, \"y\"]}", "true", "null", "[false, 1]"}) {
+    const auto c = fromJson(std::string("{\"radius\": 1.0, \"points\": [[0,0],[1,0]], ") +
+                            "\"future_key\": " + value + "}");
+    ASSERT_TRUE(c.has_value()) << value;
+    EXPECT_EQ(c->scenario.points.size(), 2u);
+  }
 }
 
 TEST(Testkit, ShrinkerFindsSmallFailingScenario) {
