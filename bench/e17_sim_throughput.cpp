@@ -11,28 +11,22 @@
 // an untimed warm-up run so both sides are measured in steady state.
 //
 // Usage: e17_sim_throughput [--smoke | --gate] [--metrics FILE]
-//   --smoke         tiny sweep (CI correctness check): one small graph,
-//                   threads {1, 2}. Timed regions are sub-millisecond --
-//                   fast, but far too noisy to gate on.
-//   --gate          mid-size sweep for the CI perf gate: one config sized so
-//                   every timed region is tens of milliseconds (stable
-//                   ratios) while the whole run stays under a few seconds.
-//   --metrics FILE  record per-config throughput/speedup gauges and write an
-//                   obs snapshot (consumed by the CI bench gate via
-//                   tools/metrics_report --check).
+// (bench::BenchArgs). --smoke is one small graph with threads {1, 2}; its
+// timed regions are sub-millisecond -- fast, but far too noisy to gate on.
+// --gate is one config sized so every timed region is tens of milliseconds
+// (stable ratios) while the whole run stays under a few seconds.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "delaunay/udg.hpp"
-#include "obs/metrics.hpp"
-#include "obs/snapshot.hpp"
 #include "sim/simulator.hpp"
 
 using namespace hybrid;
@@ -152,33 +146,10 @@ class GossipProtocol : public sim::Protocol {
   int rounds_;
 };
 
-double seconds(const std::chrono::steady_clock::time_point a,
-               const std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
-struct Measurement {
-  long messages = 0;
-  double secs = 0.0;
-  double mps() const { return secs > 0.0 ? static_cast<double>(messages) / secs : 0.0; }
-};
-
-constexpr int kRepeats = 3;  ///< Best-of-3: robust against machine noise.
-
-Measurement measureLegacy(const graph::GeometricGraph& g, int rounds) {
-  runLegacyGossip(g, rounds);  // warm-up (allocator, caches)
-  Measurement best;
-  for (int r = 0; r < kRepeats; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const long messages = runLegacyGossip(g, rounds);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double s = seconds(t0, t1);
-    if (best.secs == 0.0 || s < best.secs) best = {messages, s};
-  }
-  return best;
-}
-
-Measurement measurePooled(const graph::GeometricGraph& g, int rounds, int threads) {
+/// Best-of-kRepeats seconds of one gossip run on the pooled simulator, and
+/// its message count. Unlike bench::bestSeconds, every repeat resets the
+/// simulator's stats and runs a fresh protocol instance.
+std::pair<double, long> measurePooled(const graph::GeometricGraph& g, int rounds, int threads) {
   sim::Simulator s(g);
   s.setThreads(threads);
   // Measure the requested configuration, not the hardware clamp: the gate
@@ -188,43 +159,24 @@ Measurement measurePooled(const graph::GeometricGraph& g, int rounds, int thread
     GossipProtocol warm(rounds);  // warm-up: pool + scratch reach steady state
     s.run(warm);
   }
-  Measurement best;
-  for (int r = 0; r < kRepeats; ++r) {
+  double best = 0.0;
+  for (int r = 0; r < bench::kRepeats; ++r) {
     s.resetStats();
     GossipProtocol proto(rounds);
     const auto t0 = std::chrono::steady_clock::now();
     s.run(proto);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double sec = seconds(t0, t1);
-    if (best.secs == 0.0 || sec < best.secs) best = {s.totalMessages(), sec};
+    const double sec = bench::seconds(t0, std::chrono::steady_clock::now());
+    if (best == 0.0 || sec < best) best = sec;
   }
-  return best;
+  return {best, s.totalMessages()};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool gate = false;
-  std::string metricsPath;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--gate") == 0) {
-      gate = true;
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metricsPath = argv[++i];
-    }
-  }
-  if (gate) smoke = false;
-  if (!metricsPath.empty()) {
-    if (!obs::kCompiledIn) {
-      std::fprintf(stderr, "e17_sim_throughput: --metrics requested but observability was "
-                           "compiled out (HYBRID_OBS_DISABLED)\n");
-      return 2;
-    }
-    obs::setEnabled(true);
-  }
+  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, "e17_sim_throughput");
+  const bool smoke = args.smoke;
+  const bool gate = args.gate;
 
   const std::vector<int> sizes = smoke  ? std::vector<int>{300}
                                  : gate ? std::vector<int>{2000}
@@ -251,36 +203,40 @@ int main(int argc, char** argv) {
     for (int v = 0; v < n; ++v) edges += static_cast<long>(g.neighbors(v).size());
     edges /= 2;
 
-    const Measurement legacy = measureLegacy(g, rounds);
+    long legacyMessages = 0;
+    const double legacySecs =
+        bench::bestSeconds([&] { legacyMessages = runLegacyGossip(g, rounds); });
+    const double legacyMps = bench::ratio(static_cast<double>(legacyMessages), legacySecs);
     if (!firstCfg) std::printf(",\n");
     firstCfg = false;
     std::printf("    {\"n\": %d, \"edges\": %ld,\n", n, edges);
     std::printf("     \"legacy\": {\"messages\": %ld, \"seconds\": %.4f, "
                 "\"messagesPerSec\": %.0f},\n",
-                legacy.messages, legacy.secs, legacy.mps());
+                legacyMessages, legacySecs, legacyMps);
     HYBRID_OBS_STMT(if (obs::enabled()) {
       obs::Registry::global()
           .gauge("bench.e17.legacy.messages_per_s.n" + std::to_string(n))
-          .set(legacy.mps());
+          .set(legacyMps);
     });
     std::printf("     \"pooled\": [\n");
-    Measurement oneThread;
+    double oneThreadMps = 0.0;
     bool firstT = true;
     for (const int t : threadCounts) {
-      const Measurement m = measurePooled(g, rounds, t);
-      if (t == 1) oneThread = m;
+      const auto [secs, messages] = measurePooled(g, rounds, t);
+      const double mps = bench::ratio(static_cast<double>(messages), secs);
+      if (t == 1) oneThreadMps = mps;
       if (!firstT) std::printf(",\n");
       firstT = false;
-      const double speedup = legacy.mps() > 0.0 ? m.mps() / legacy.mps() : 0.0;
-      const double scaling = oneThread.mps() > 0.0 ? m.mps() / oneThread.mps() : 0.0;
+      const double speedup = bench::ratio(mps, legacyMps);
+      const double scaling = bench::ratio(mps, oneThreadMps);
       std::printf("       {\"threads\": %d, \"messages\": %ld, \"seconds\": %.4f, "
                   "\"messagesPerSec\": %.0f, \"speedupVsLegacy\": %.2f, "
                   "\"speedupVs1Thread\": %.2f}",
-                  t, m.messages, m.secs, m.mps(), speedup, scaling);
+                  t, messages, secs, mps, speedup, scaling);
       HYBRID_OBS_STMT(if (obs::enabled()) {
         const std::string key = ".n" + std::to_string(n) + ".t" + std::to_string(t);
         auto& reg = obs::Registry::global();
-        reg.gauge("bench.e17.pooled.messages_per_s" + key).set(m.mps());
+        reg.gauge("bench.e17.pooled.messages_per_s" + key).set(mps);
         // Machine-independent ratios: these are what the CI bench gate
         // checks ("speedup" names pass the gate's --filter).
         reg.gauge("bench.e17.pooled.speedup_vs_legacy" + key).set(speedup);
@@ -293,12 +249,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\n  ]\n}\n");
 
-  if (!metricsPath.empty()) {
-    if (!obs::saveSnapshot(metricsPath, obs::capture())) {
-      std::fprintf(stderr, "e17_sim_throughput: cannot write metrics snapshot %s\n",
-                   metricsPath.c_str());
-      return 2;
-    }
-  }
-  return 0;
+  return bench::writeMetrics(args);
 }

@@ -16,59 +16,26 @@
 // centrality ordering feeds on, the same way far-seeing hull corners do.
 //
 // Usage: e19_label_oracle [--smoke | --gate] [--metrics FILE]
-//   --smoke         tiny sweep (CI correctness check): h = 512.
-//   --gate          mid-size sweep for the CI perf gate: h = 2048, the
-//                   ratios land in bench/baselines/e19.json.
-//   --metrics FILE  record per-config gauges and write an obs snapshot
-//                   (consumed by the CI bench gate via
-//                   tools/metrics_report --check).
+// (bench::BenchArgs). --smoke is h = 512; --gate is h = 2048, whose ratios
+// land in bench/baselines/e19.json.
 
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "graph/csr.hpp"
 #include "graph/dijkstra_workspace.hpp"
-#include "obs/metrics.hpp"
-#include "obs/snapshot.hpp"
 #include "routing/hub_labels.hpp"
 #include "util/parallel.hpp"
 
 using namespace hybrid;
 
 namespace {
-
-double seconds(const std::chrono::steady_clock::time_point a,
-               const std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
-struct Measurement {
-  long queries = 0;
-  double secs = 0.0;
-  double qps() const { return secs > 0.0 ? static_cast<double>(queries) / secs : 0.0; }
-};
-
-constexpr int kRepeats = 3;  ///< Best-of-3: robust against machine noise.
-
-template <typename Fn>
-Measurement measureBestOf(long queries, Fn&& run) {
-  run();  // warm-up (allocator, caches, workspaces)
-  Measurement best;
-  for (int r = 0; r < kRepeats; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double s = seconds(t0, t1);
-    if (best.secs == 0.0 || s < best.secs) best = {queries, s};
-  }
-  return best;
-}
 
 /// Hull-ring site graph: n sites on a circle (unit spacing, jittered),
 /// consecutive ring edges, plus a visibility chord of span 2^k whenever
@@ -139,27 +106,9 @@ std::vector<std::pair<int, int>> queryPairs(std::size_t h, std::size_t count, un
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool gate = false;
-  std::string metricsPath;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--gate") == 0) {
-      gate = true;
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metricsPath = argv[++i];
-    }
-  }
-  if (gate) smoke = false;
-  if (!metricsPath.empty()) {
-    if (!obs::kCompiledIn) {
-      std::fprintf(stderr, "e19_label_oracle: --metrics requested but observability was "
-                           "compiled out (HYBRID_OBS_DISABLED)\n");
-      return 2;
-    }
-    obs::setEnabled(true);
-  }
+  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, "e19_label_oracle");
+  const bool smoke = args.smoke;
+  const bool gate = args.gate;
 
   const std::vector<std::size_t> sizes =
       smoke  ? std::vector<std::size_t>{512}
@@ -189,10 +138,9 @@ int main(int argc, char** argv) {
     const auto lb0 = std::chrono::steady_clock::now();
     routing::HubLabelOracle labels;
     labels.build(csr, threads);
-    const auto lb1 = std::chrono::steady_clock::now();
-    const double labelBuildSecs = seconds(lb0, lb1);
+    const double labelBuildSecs = bench::seconds(lb0, std::chrono::steady_clock::now());
 
-    const Measurement labelQ = measureBestOf(static_cast<long>(pairs.size()), [&] {
+    const double labelQSecs = bench::bestSeconds([&] {
       double acc = 0.0;
       for (const auto& [s, t] : pairs) acc += labels.distance(s, t);
       sink = acc;
@@ -202,7 +150,7 @@ int main(int argc, char** argv) {
     // per-query latency the way the serving path consumes distances —
     // compare, branch, only then issue the next lookup — instead of
     // letting out-of-order execution overlap unrelated queries.
-    const Measurement labelDep = measureBestOf(static_cast<long>(pairs.size()), [&] {
+    const double labelDepSecs = bench::bestSeconds([&] {
       double acc = 0.0;
       unsigned carry = 0;
       for (const auto& [s, t] : pairs) {
@@ -218,14 +166,13 @@ int main(int argc, char** argv) {
 
     const bool withDense = h <= denseLimit;
     double denseBuildSecs = 0.0;
-    Measurement denseQ;
-    Measurement denseDep;
+    double denseQSecs = 0.0;
+    double denseDepSecs = 0.0;
     std::size_t denseBytes = 0;
     if (withDense) {
       const auto db0 = std::chrono::steady_clock::now();
       const DenseTable dense = buildDense(csr, threads);
-      const auto db1 = std::chrono::steady_clock::now();
-      denseBuildSecs = seconds(db0, db1);
+      denseBuildSecs = bench::seconds(db0, std::chrono::steady_clock::now());
       denseBytes = dense.bytes();
 
       // Cross-check before racing: the oracle must agree with the table.
@@ -242,14 +189,14 @@ int main(int argc, char** argv) {
         }
       }
 
-      denseQ = measureBestOf(static_cast<long>(pairs.size()), [&] {
+      denseQSecs = bench::bestSeconds([&] {
         double acc = 0.0;
         for (const auto& [s, t] : pairs) {
           acc += dense.dist[static_cast<std::size_t>(s) * h + static_cast<std::size_t>(t)];
         }
         sink = acc;
       });
-      denseDep = measureBestOf(static_cast<long>(pairs.size()), [&] {
+      denseDepSecs = bench::bestSeconds([&] {
         double acc = 0.0;
         unsigned carry = 0;
         for (const auto& [s, t] : pairs) {
@@ -263,6 +210,9 @@ int main(int argc, char** argv) {
       });
     }
 
+    const auto qps = [&](double secs) {
+      return bench::ratio(static_cast<double>(pairs.size()), secs);
+    };
     const double labelBytesPerSite =
         static_cast<double>(labels.labelBytes()) / static_cast<double>(h);
     const double denseBytesPerSite = static_cast<double>(h) * 12.0;  // 8B dist + 4B pred
@@ -276,7 +226,7 @@ int main(int argc, char** argv) {
                 "\"bytesPerSite\": %.0f, \"avgLabel\": %.1f, \"maxLabel\": %zu, "
                 "\"queriesPerSec\": %.0f, \"queriesPerSecDependent\": %.0f},\n",
                 labelBuildSecs, labels.labelBytes(), labelBytesPerSite, avgLabel,
-                labels.maxLabelSize(), labelQ.qps(), labelDep.qps());
+                labels.maxLabelSize(), qps(labelQSecs), qps(labelDepSecs));
     if (withDense) {
       const double sizeSpeedup = denseBytesPerSite / labelBytesPerSite;
       // The gated query ratio is the dependent-stream one: point queries in
@@ -284,20 +234,21 @@ int main(int argc, char** argv) {
       // is what matters; the independent-stream ratio (streamedRatio) only
       // shows how much memory-level parallelism hides the dense table's
       // DRAM misses, and is reported for context.
-      const double querySpeedup = denseDep.qps() > 0.0 ? labelDep.qps() / denseDep.qps() : 0.0;
-      const double streamedRatio = denseQ.qps() > 0.0 ? labelQ.qps() / denseQ.qps() : 0.0;
-      const double buildSpeedup = labelBuildSecs > 0.0 ? denseBuildSecs / labelBuildSecs : 0.0;
+      const double querySpeedup = bench::ratio(qps(labelDepSecs), qps(denseDepSecs));
+      const double streamedRatio = bench::ratio(qps(labelQSecs), qps(denseQSecs));
+      const double buildSpeedup = bench::ratio(denseBuildSecs, labelBuildSecs);
       std::printf("     \"dense\": {\"buildSeconds\": %.3f, \"bytes\": %zu, "
                   "\"bytesPerSite\": %.0f, \"queriesPerSec\": %.0f, "
                   "\"queriesPerSecDependent\": %.0f},\n",
-                  denseBuildSecs, denseBytes, denseBytesPerSite, denseQ.qps(), denseDep.qps());
+                  denseBuildSecs, denseBytes, denseBytesPerSite, qps(denseQSecs),
+                  qps(denseDepSecs));
       std::printf("     \"ratios\": {\"sizeSpeedup\": %.1f, \"querySpeedup\": %.3f, "
                   "\"streamedRatio\": %.3f, \"buildSpeedup\": %.2f}}",
                   sizeSpeedup, querySpeedup, streamedRatio, buildSpeedup);
       HYBRID_OBS_STMT(if (obs::enabled()) {
         const std::string key = ".h" + std::to_string(h);
         auto& reg = obs::Registry::global();
-        reg.gauge("bench.e19.labels.queries_per_s" + key).set(labelQ.qps());
+        reg.gauge("bench.e19.labels.queries_per_s" + key).set(qps(labelQSecs));
         reg.gauge("bench.e19.labels.bytes_per_site" + key).set(labelBytesPerSite);
         // Informational ("ratio", not "speedup": kept out of the CI gate's
         // --filter speedup selection — it compounds two noisy streams).
@@ -314,19 +265,12 @@ int main(int argc, char** argv) {
       HYBRID_OBS_STMT(if (obs::enabled()) {
         const std::string key = ".h" + std::to_string(h);
         auto& reg = obs::Registry::global();
-        reg.gauge("bench.e19.labels.queries_per_s" + key).set(labelQ.qps());
+        reg.gauge("bench.e19.labels.queries_per_s" + key).set(qps(labelQSecs));
         reg.gauge("bench.e19.labels.bytes_per_site" + key).set(labelBytesPerSite);
       });
     }
   }
   std::printf("\n  ]\n}\n");
 
-  if (!metricsPath.empty()) {
-    if (!obs::saveSnapshot(metricsPath, obs::capture())) {
-      std::fprintf(stderr, "e19_label_oracle: cannot write metrics snapshot %s\n",
-                   metricsPath.c_str());
-      return 2;
-    }
-  }
-  return 0;
+  return bench::writeMetrics(args);
 }

@@ -17,85 +17,28 @@
 // every swept thread count (exit 3 on any mismatch).
 //
 // Usage: e20_stateless_forwarding [--smoke | --gate] [--metrics FILE]
-//   --smoke         tiny sweep (CI correctness check): n = 250, threads {1, 2}.
-//   --gate          mid-size sweep for the CI perf gate: n = 500, threads
-//                   {1, 2, 8}; the scaling ratios land in
-//                   bench/baselines/e20.json.
-//   --metrics FILE  record per-config gauges and write an obs snapshot
-//                   (consumed by the CI bench gate via
-//                   tools/metrics_report --check).
+// (bench::BenchArgs). --smoke is n = 250 with threads {1, 2}; --gate is
+// n = 500 with threads {1, 2, 8}, whose scaling ratios land in
+// bench/baselines/e20.json.
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "graph/csr.hpp"
-#include "obs/metrics.hpp"
-#include "obs/snapshot.hpp"
 #include "routing/hub_labels.hpp"
 #include "routing/stateless_router.hpp"
 
 using namespace hybrid;
 
-namespace {
-
-double seconds(const std::chrono::steady_clock::time_point a,
-               const std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
-struct Measurement {
-  long queries = 0;
-  double secs = 0.0;
-  double qps() const { return secs > 0.0 ? static_cast<double>(queries) / secs : 0.0; }
-};
-
-constexpr int kRepeats = 3;  ///< Best-of-3: robust against machine noise.
-
-template <typename Fn>
-Measurement measureBestOf(long queries, Fn&& run) {
-  run();  // warm-up (allocator, caches, workspaces)
-  Measurement best;
-  for (int r = 0; r < kRepeats; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double s = seconds(t0, t1);
-    if (best.secs == 0.0 || s < best.secs) best = {queries, s};
-  }
-  return best;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool gate = false;
-  std::string metricsPath;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--gate") == 0) {
-      gate = true;
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metricsPath = argv[++i];
-    }
-  }
-  if (gate) smoke = false;
-  if (!metricsPath.empty()) {
-    if (!obs::kCompiledIn) {
-      std::fprintf(stderr, "e20_stateless_forwarding: --metrics requested but observability "
-                           "was compiled out (HYBRID_OBS_DISABLED)\n");
-      return 2;
-    }
-    obs::setEnabled(true);
-  }
+  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, "e20_stateless_forwarding");
+  const bool smoke = args.smoke;
+  const bool gate = args.gate;
 
   const std::vector<std::size_t> sizes =
       smoke  ? std::vector<std::size_t>{250}
@@ -125,8 +68,7 @@ int main(int argc, char** argv) {
 
     const auto sb0 = std::chrono::steady_clock::now();
     const routing::StatelessRouter stateless(g, 1);
-    const auto sb1 = std::chrono::steady_clock::now();
-    const double labelBuildSecs = seconds(sb0, sb1);
+    const double labelBuildSecs = bench::seconds(sb0, std::chrono::steady_clock::now());
 
     std::mt19937 rng(99 + static_cast<unsigned>(n));
     std::uniform_int_distribution<int> pick(0, static_cast<int>(g.numNodes()) - 1);
@@ -203,41 +145,35 @@ int main(int argc, char** argv) {
 
     // --- Timed sweep: both routers serve the same batch at each thread
     // count; each side's scaling ratio is against its own 1-thread run.
-    volatile double sink = 0.0;
     std::printf("     \"routeBatch\": [\n");
-    Measurement fwdSerial;
-    Measurement centralSerial;
+    double fwdSerialQps = 0.0;
+    double centralSerialQps = 0.0;
     bool firstT = true;
     for (const int t : threadCounts) {
-      const Measurement fwd = measureBestOf(static_cast<long>(pairs.size()), [&] {
-        const auto results = stateless.routeBatch(pairs, t);
-        sink = static_cast<double>(results.size());
-      });
-      const Measurement central = measureBestOf(static_cast<long>(pairs.size()), [&] {
-        const auto results = centralized->routeBatch(pairs, t);
-        sink = static_cast<double>(results.size());
-      });
+      const double fwdSecs = bench::batchSeconds(stateless, pairs, t);
+      const double centralSecs = bench::batchSeconds(*centralized, pairs, t);
+      const double fwdQps = bench::ratio(static_cast<double>(pairs.size()), fwdSecs);
+      const double centralQps = bench::ratio(static_cast<double>(pairs.size()), centralSecs);
       if (t == 1) {
-        fwdSerial = fwd;
-        centralSerial = central;
+        fwdSerialQps = fwdQps;
+        centralSerialQps = centralQps;
       }
-      const double fwdSpeedup = fwdSerial.qps() > 0.0 ? fwd.qps() / fwdSerial.qps() : 0.0;
-      const double centralSpeedup =
-          centralSerial.qps() > 0.0 ? central.qps() / centralSerial.qps() : 0.0;
+      const double fwdSpeedup = bench::ratio(fwdQps, fwdSerialQps);
+      const double centralSpeedup = bench::ratio(centralQps, centralSerialQps);
       if (!firstT) std::printf(",\n");
       firstT = false;
       std::printf("       {\"threads\": %d,\n", t);
       std::printf("        \"stateless\": {\"seconds\": %.4f, \"queriesPerSec\": %.0f, "
                   "\"speedupVs1Thread\": %.2f},\n",
-                  fwd.secs, fwd.qps(), fwdSpeedup);
+                  fwdSecs, fwdQps, fwdSpeedup);
       std::printf("        \"centralized\": {\"seconds\": %.4f, \"queriesPerSec\": %.0f, "
                   "\"speedupVs1Thread\": %.2f}}",
-                  central.secs, central.qps(), centralSpeedup);
+                  centralSecs, centralQps, centralSpeedup);
       HYBRID_OBS_STMT(if (obs::enabled()) {
         const std::string key = ".n" + std::to_string(n) + ".t" + std::to_string(t);
         auto& reg = obs::Registry::global();
-        reg.gauge("bench.e20.fwd.queries_per_s" + key).set(fwd.qps());
-        reg.gauge("bench.e20.centralized.queries_per_s" + key).set(central.qps());
+        reg.gauge("bench.e20.fwd.queries_per_s" + key).set(fwdQps);
+        reg.gauge("bench.e20.centralized.queries_per_s" + key).set(centralQps);
         if (t > 1) {
           // Machine-independent scaling ratios: what the CI bench gate
           // checks (--filter speedup).
@@ -250,12 +186,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\n  ]\n}\n");
 
-  if (!metricsPath.empty()) {
-    if (!obs::saveSnapshot(metricsPath, obs::capture())) {
-      std::fprintf(stderr, "e20_stateless_forwarding: cannot write metrics snapshot %s\n",
-                   metricsPath.c_str());
-      return 2;
-    }
-  }
-  return 0;
+  return bench::writeMetrics(args);
 }

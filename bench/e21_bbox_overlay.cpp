@@ -16,18 +16,14 @@
 // hulls mode.
 //
 // Usage: e21_bbox_overlay [--smoke | --gate] [--metrics FILE]
-//   --smoke         tiny sweep (CI correctness check): n = 250, threads {1, 2}.
-//   --gate          mid-size sweep for the CI perf gate: n = 500, threads
-//                   {1, 2, 8}; scaling ratios land in bench/baselines/e21.json.
-//   --metrics FILE  record per-config gauges and write an obs snapshot
-//                   (consumed by the CI bench gate via tools/metrics_report).
+// (bench::BenchArgs). --smoke is n = 250 with threads {1, 2}; --gate is
+// n = 500 with threads {1, 2, 8}, whose scaling ratios land in
+// bench/baselines/e21.json.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -35,41 +31,12 @@
 #include "abstraction/bbox_overlay.hpp"
 #include "abstraction/hull_groups.hpp"
 #include "bench_util.hpp"
-#include "obs/metrics.hpp"
-#include "obs/snapshot.hpp"
 #include "routing/hybrid_router.hpp"
 #include "scenario/shapes.hpp"
 
 using namespace hybrid;
 
 namespace {
-
-double seconds(const std::chrono::steady_clock::time_point a,
-               const std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
-struct Measurement {
-  long queries = 0;
-  double secs = 0.0;
-  double qps() const { return secs > 0.0 ? static_cast<double>(queries) / secs : 0.0; }
-};
-
-constexpr int kRepeats = 3;  ///< Best-of-3: robust against machine noise.
-
-template <typename Fn>
-Measurement measureBestOf(long queries, Fn&& run) {
-  run();  // warm-up (allocator, caches, workspaces)
-  Measurement best;
-  for (int r = 0; r < kRepeats; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double s = seconds(t0, t1);
-    if (best.secs == 0.0 || s < best.secs) best = {queries, s};
-  }
-  return best;
-}
 
 /// The "U swallowing a block" family scaled to ~n nodes: the block's hull
 /// sits inside the U's hull, so the hulls intersect on every seed.
@@ -117,27 +84,9 @@ RouteEval evaluate(core::HybridNetwork& net, const routing::Router& router,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool gate = false;
-  std::string metricsPath;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--gate") == 0) {
-      gate = true;
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metricsPath = argv[++i];
-    }
-  }
-  if (gate) smoke = false;
-  if (!metricsPath.empty()) {
-    if (!obs::kCompiledIn) {
-      std::fprintf(stderr, "e21_bbox_overlay: --metrics requested but observability was "
-                           "compiled out (HYBRID_OBS_DISABLED)\n");
-      return 2;
-    }
-    obs::setEnabled(true);
-  }
+  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, "e21_bbox_overlay");
+  const bool smoke = args.smoke;
+  const bool gate = args.gate;
 
   const std::vector<std::size_t> sizes =
       smoke  ? std::vector<std::size_t>{250}
@@ -265,7 +214,7 @@ int main(int argc, char** argv) {
                   hullSites, bboxSites, groups.size(), siteRatio);
       std::printf("                 \"hullBuildSeconds\": %.3f, \"bboxBuildSeconds\": "
                   "%.3f},\n",
-                  seconds(hb0, hb1), seconds(hb1, hb2));
+                  bench::seconds(hb0, hb1), bench::seconds(hb1, hb2));
       std::printf("     \"hulls\": {\"fallbacks\": %d, \"meanStretch\": %.3f, "
                   "\"maxStretch\": %.3f},\n",
                   he.fallbacks, he.mean(), he.stretchMax);
@@ -287,41 +236,36 @@ int main(int argc, char** argv) {
       // --- Timed sweep: both abstractions serve the same batch at each
       // thread count; each side's scaling ratio is against its own
       // 1-thread run.
-      volatile double sink = 0.0;
       std::printf("     \"routeBatch\": [\n");
-      Measurement hullSerial;
-      Measurement bboxSerial;
+      double hullSerialQps = 0.0;
+      double bboxSerialQps = 0.0;
       bool firstT = true;
       for (const int t : threadCounts) {
-        const Measurement hm = measureBestOf(static_cast<long>(pairs.size()), [&] {
-          const auto results = hulls->routeBatch(pairs, t);
-          sink = static_cast<double>(results.size());
-        });
-        const Measurement bm = measureBestOf(static_cast<long>(pairs.size()), [&] {
-          const auto results = bbox->routeBatch(pairs, t);
-          sink = static_cast<double>(results.size());
-        });
+        const double hullSecs = bench::batchSeconds(*hulls, pairs, t);
+        const double bboxSecs = bench::batchSeconds(*bbox, pairs, t);
+        const double hullQps = bench::ratio(static_cast<double>(pairs.size()), hullSecs);
+        const double bboxQps = bench::ratio(static_cast<double>(pairs.size()), bboxSecs);
         if (t == 1) {
-          hullSerial = hm;
-          bboxSerial = bm;
+          hullSerialQps = hullQps;
+          bboxSerialQps = bboxQps;
         }
-        const double hullSpeedup = hullSerial.qps() > 0.0 ? hm.qps() / hullSerial.qps() : 0.0;
-        const double bboxSpeedup = bboxSerial.qps() > 0.0 ? bm.qps() / bboxSerial.qps() : 0.0;
+        const double hullSpeedup = bench::ratio(hullQps, hullSerialQps);
+        const double bboxSpeedup = bench::ratio(bboxQps, bboxSerialQps);
         if (!firstT) std::printf(",\n");
         firstT = false;
         std::printf("       {\"threads\": %d,\n", t);
         std::printf("        \"hulls\": {\"seconds\": %.4f, \"queriesPerSec\": %.0f, "
                     "\"speedupVs1Thread\": %.2f},\n",
-                    hm.secs, hm.qps(), hullSpeedup);
+                    hullSecs, hullQps, hullSpeedup);
         std::printf("        \"bbox\": {\"seconds\": %.4f, \"queriesPerSec\": %.0f, "
                     "\"speedupVs1Thread\": %.2f}}",
-                    bm.secs, bm.qps(), bboxSpeedup);
+                    bboxSecs, bboxQps, bboxSpeedup);
         HYBRID_OBS_STMT(if (obs::enabled()) {
           const std::string key = std::string(".") + corpus + ".n" + std::to_string(n) +
                                   ".t" + std::to_string(t);
           auto& reg = obs::Registry::global();
-          reg.gauge("bench.e21.hulls.queries_per_s" + key).set(hm.qps());
-          reg.gauge("bench.e21.bbox.queries_per_s" + key).set(bm.qps());
+          reg.gauge("bench.e21.hulls.queries_per_s" + key).set(hullQps);
+          reg.gauge("bench.e21.bbox.queries_per_s" + key).set(bboxQps);
           if (t > 1) {
             // Machine-independent scaling ratios: what the CI bench gate
             // checks (--filter speedup).
@@ -335,12 +279,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\n  ]\n}\n");
 
-  if (!metricsPath.empty()) {
-    if (!obs::saveSnapshot(metricsPath, obs::capture())) {
-      std::fprintf(stderr, "e21_bbox_overlay: cannot write metrics snapshot %s\n",
-                   metricsPath.c_str());
-      return 2;
-    }
-  }
-  return 0;
+  return bench::writeMetrics(args);
 }

@@ -25,26 +25,20 @@
 // fuzz oracle enforces.
 //
 // Usage: e22_churn_serving [--smoke | --gate] [--metrics FILE]
-//   --smoke         tiny sweep (CI correctness check): n = 250, threads {1, 2}.
-//   --gate          mid-size sweep for the CI perf gate: n = 500, threads
-//                   {1, 2, 8}; the overhead and LDel^2 ratios land in
-//                   bench/baselines/e22.json.
-//   --metrics FILE  record per-config gauges and write an obs snapshot
-//                   (consumed by the CI bench gate via
-//                   tools/metrics_report --check).
+// (bench::BenchArgs). --smoke is n = 250 with threads {1, 2}; --gate is
+// n = 500 with threads {1, 2, 8}, whose overhead and LDel^2 ratios land in
+// bench/baselines/e22.json. Both timed comparisons interleave their two
+// sides repeat by repeat, so they keep their own best-of loops.
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "obs/metrics.hpp"
-#include "obs/snapshot.hpp"
 #include "scenario/churn.hpp"
 #include "serve/route_service.hpp"
 #include "testkit/oracles.hpp"
@@ -52,27 +46,6 @@
 using namespace hybrid;
 
 namespace {
-
-double seconds(const std::chrono::steady_clock::time_point a,
-               const std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
-constexpr int kRepeats = 3;  ///< Best-of-3: robust against machine noise.
-
-template <typename Fn>
-double bestSeconds(Fn&& run) {
-  run();  // warm-up (allocator, caches, workspaces)
-  double best = 0.0;
-  for (int r = 0; r < kRepeats; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double s = seconds(t0, t1);
-    if (best == 0.0 || s < best) best = s;
-  }
-  return best;
-}
 
 serve::ServiceOptions serviceOptions(unsigned seed) {
   serve::ServiceOptions opts;
@@ -137,27 +110,9 @@ bool acceptanceCheck(const scenario::Scenario& sc, std::size_t n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool gate = false;
-  std::string metricsPath;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--gate") == 0) {
-      gate = true;
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metricsPath = argv[++i];
-    }
-  }
-  if (gate) smoke = false;
-  if (!metricsPath.empty()) {
-    if (!obs::kCompiledIn) {
-      std::fprintf(stderr, "e22_churn_serving: --metrics requested but observability "
-                           "was compiled out (HYBRID_OBS_DISABLED)\n");
-      return 2;
-    }
-    obs::setEnabled(true);
-  }
+  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, "e22_churn_serving");
+  const bool smoke = args.smoke;
+  const bool gate = args.gate;
 
   const std::vector<std::size_t> sizes =
       smoke  ? std::vector<std::size_t>{250}
@@ -199,7 +154,7 @@ int main(int argc, char** argv) {
       ldelOpts.threads = 1;
       double reference = 0.0;
       double fast = 0.0;
-      for (int r = 0; r <= 2 * kRepeats; ++r) {
+      for (int r = 0; r <= 2 * bench::kRepeats; ++r) {
         const auto t0 = std::chrono::steady_clock::now();
         const auto want = testkit::referenceLocalizedDelaunay(sc.points, ldelOpts);
         const auto t1 = std::chrono::steady_clock::now();
@@ -211,12 +166,12 @@ int main(int argc, char** argv) {
           return 3;
         }
         if (r == 0) continue;  // warm-up
-        const double ref = seconds(t0, t1);
-        const double fst = seconds(t1, t2);
+        const double ref = bench::seconds(t0, t1);
+        const double fst = bench::seconds(t1, t2);
         if (reference == 0.0 || ref < reference) reference = ref;
         if (fast == 0.0 || fst < fast) fast = fst;
       }
-      const double speedup = fast > 0.0 ? reference / fast : 0.0;
+      const double speedup = bench::ratio(reference, fast);
       std::printf("     \"ldelBuild\": {\"referenceMs\": %.3f, \"buildMs\": %.3f, "
                   "\"speedupVsReference\": %.3f},\n",
                   1e3 * reference, 1e3 * fast, speedup);
@@ -252,21 +207,20 @@ int main(int argc, char** argv) {
       runService();
       double direct = 0.0;
       double viaService = 0.0;
-      for (int r = 0; r < 2 * kRepeats; ++r) {
+      for (int r = 0; r < 2 * bench::kRepeats; ++r) {
         auto t0 = std::chrono::steady_clock::now();
         runDirect();
         auto t1 = std::chrono::steady_clock::now();
         runService();
         auto t2 = std::chrono::steady_clock::now();
-        const double d = seconds(t0, t1);
-        const double s = seconds(t1, t2);
+        const double d = bench::seconds(t0, t1);
+        const double s = bench::seconds(t1, t2);
         if (direct == 0.0 || d < direct) direct = d;
         if (viaService == 0.0 || s < viaService) viaService = s;
       }
-      const double directQps = direct > 0.0 ? static_cast<double>(pairs.size()) / direct : 0.0;
-      const double serviceQps =
-          viaService > 0.0 ? static_cast<double>(pairs.size()) / viaService : 0.0;
-      const double speedup = directQps > 0.0 ? serviceQps / directQps : 0.0;
+      const double directQps = bench::ratio(static_cast<double>(pairs.size()), direct);
+      const double serviceQps = bench::ratio(static_cast<double>(pairs.size()), viaService);
+      const double speedup = bench::ratio(serviceQps, directQps);
       if (!firstT) std::printf(",\n");
       firstT = false;
       std::printf("       {\"threads\": %d, \"directQps\": %.0f, \"serviceQps\": %.0f, "
@@ -319,9 +273,8 @@ int main(int argc, char** argv) {
       stop.store(true, std::memory_order_relaxed);
       for (auto& r : readers) r.join();
 
-      const double elapsed = seconds(c0, c1);
-      const double qps =
-          elapsed > 0.0 ? static_cast<double>(servedQueries.load()) / elapsed : 0.0;
+      const double elapsed = bench::seconds(c0, c1);
+      const double qps = bench::ratio(static_cast<double>(servedQueries.load()), elapsed);
       double swapMsSum = 0.0;
       double swapMsMax = 0.0;
       for (const auto& e : churned.history()) {
@@ -365,12 +318,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\n  ]\n}\n");
 
-  if (!metricsPath.empty()) {
-    if (!obs::saveSnapshot(metricsPath, obs::capture())) {
-      std::fprintf(stderr, "e22_churn_serving: cannot write metrics snapshot %s\n",
-                   metricsPath.c_str());
-      return 2;
-    }
-  }
-  return 0;
+  return bench::writeMetrics(args);
 }
