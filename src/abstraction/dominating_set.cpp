@@ -1,9 +1,6 @@
 #include "abstraction/dominating_set.hpp"
 
-#include <algorithm>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace hybrid::abstraction {
 
@@ -14,33 +11,6 @@ std::vector<graph::NodeId> pathDominatingSet(const std::vector<graph::NodeId>& c
   for (std::size_t i = 1; i < chain.size(); i += 3) ds.push_back(chain[i]);
   if (!chain.empty() && chain.size() % 3 == 1) ds.push_back(chain.back());
   if (chain.size() == 1) ds.assign(1, chain[0]);
-  return ds;
-}
-
-std::vector<graph::NodeId> greedyDominatingSet(const graph::GeometricGraph& g,
-                                               const std::vector<graph::NodeId>& targets) {
-  std::unordered_set<graph::NodeId> uncovered(targets.begin(), targets.end());
-  const std::unordered_set<graph::NodeId> targetSet(targets.begin(), targets.end());
-  std::vector<graph::NodeId> ds;
-  while (!uncovered.empty()) {
-    graph::NodeId best = -1;
-    std::size_t bestGain = 0;
-    for (graph::NodeId c : targets) {
-      std::size_t gain = uncovered.contains(c) ? 1 : 0;
-      for (graph::NodeId nb : g.neighbors(c)) {
-        if (targetSet.contains(nb) && uncovered.contains(nb)) ++gain;
-      }
-      if (gain > bestGain || (gain == bestGain && gain > 0 && c < best)) {
-        bestGain = gain;
-        best = c;
-      }
-    }
-    if (best < 0) break;  // disconnected targets; should not happen
-    ds.push_back(best);
-    uncovered.erase(best);
-    for (graph::NodeId nb : g.neighbors(best)) uncovered.erase(nb);
-  }
-  std::sort(ds.begin(), ds.end());
   return ds;
 }
 

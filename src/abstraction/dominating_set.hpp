@@ -11,18 +11,8 @@ namespace hybrid::abstraction {
 /// rule is optimal for paths: |DS| = ceil(k / 3).
 std::vector<graph::NodeId> pathDominatingSet(const std::vector<graph::NodeId>& chain);
 
-/// Greedy dominating set of an arbitrary graph restricted to `targets`
-/// (every target must be dominated; members are chosen from targets).
-/// Classic ln(Delta)-approximation.
-std::vector<graph::NodeId> greedyDominatingSet(const graph::GeometricGraph& g,
-                                               const std::vector<graph::NodeId>& targets);
-
 /// Verifies the dominating-set property of `ds` over the chain.
 bool dominatesChain(const std::vector<graph::NodeId>& chain,
                     const std::vector<graph::NodeId>& ds);
-
-/// Dominating sets for every bay of every abstraction, flattened in
-/// (abstraction, bay) iteration order.
-struct HoleAbstraction;
 
 }  // namespace hybrid::abstraction

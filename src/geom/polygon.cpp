@@ -210,12 +210,4 @@ std::vector<int> convexHullBoundaryIndices(const std::vector<Vec2>& points) {
   return monotoneChain(points, true);
 }
 
-std::vector<Vec2> mergeConvexHulls(const std::vector<Vec2>& a, const std::vector<Vec2>& b) {
-  std::vector<Vec2> all;
-  all.reserve(a.size() + b.size());
-  all.insert(all.end(), a.begin(), a.end());
-  all.insert(all.end(), b.begin(), b.end());
-  return convexHull(std::move(all));
-}
-
 }  // namespace hybrid::geom

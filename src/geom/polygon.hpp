@@ -70,8 +70,4 @@ std::vector<int> convexHullIndices(const std::vector<Vec2>& points);
 /// cycle.
 std::vector<int> convexHullBoundaryIndices(const std::vector<Vec2>& points);
 
-/// Convex hull of the union of two convex polygons (used by the
-/// distributed divide-and-conquer hull merge).
-std::vector<Vec2> mergeConvexHulls(const std::vector<Vec2>& a, const std::vector<Vec2>& b);
-
 }  // namespace hybrid::geom

@@ -46,23 +46,12 @@ struct Vec2 {
 
   constexpr double norm2() const { return x * x + y * y; }
   double norm() const { return std::hypot(x, y); }
-
-  /// Rotate 90 degrees counter-clockwise.
-  constexpr Vec2 perp() const { return {-y, x}; }
-
-  Vec2 normalized() const {
-    const double n = norm();
-    return n > 0.0 ? Vec2{x / n, y / n} : Vec2{0.0, 0.0};
-  }
 };
 
 constexpr Vec2 operator*(double s, Vec2 v) { return v * s; }
 
 inline double dist(Vec2 a, Vec2 b) { return (a - b).norm(); }
 constexpr double dist2(Vec2 a, Vec2 b) { return (a - b).norm2(); }
-
-/// Linear interpolation a + t*(b-a).
-constexpr Vec2 lerp(Vec2 a, Vec2 b, double t) { return a + (b - a) * t; }
 
 /// Midpoint of the segment ab.
 constexpr Vec2 midpoint(Vec2 a, Vec2 b) { return {(a.x + b.x) / 2.0, (a.y + b.y) / 2.0}; }

@@ -16,19 +16,6 @@ inline unsigned resolveThreads(int requested) {
   return hw == 0 ? 1 : hw;
 }
 
-/// Runs fn(begin, end, chunkIndex) over contiguous chunks of [0, n) on
-/// `threads` workers of the persistent process-wide ThreadPool. Chunking is
-/// deterministic: chunk c covers [c*ceil(n/threads), ...), so merging
-/// per-chunk results in chunk order reproduces the sequential order and
-/// parallel builds stay bit-identical to serial ones at any thread count.
-///
-/// An explicit `threads` request is honored for any n (capped at n): small
-/// inputs no longer fall back to a silent serial path, so pool bugs cannot
-/// hide from tests. threads <= 1 (or n == 0) runs inline on the caller.
-///
-/// A throwing chunk does not take the process down: every chunk still
-/// runs, and the first exception in chunk-index order is rethrown on the
-/// calling thread (deterministic, whatever the threads' finishing order).
 /// How parallelTasks splits [0, n): `tasks` chunks of `chunk` items each,
 /// except the last chunk, which absorbs the remainder (so it holds between
 /// `chunk` and `2*chunk - 1` items and no chunk is ever empty).
@@ -84,6 +71,19 @@ inline void parallelTasks(std::size_t n, unsigned threads, std::size_t minPerChu
   ThreadPool::global().run(plan.tasks, threads, task);
 }
 
+/// Runs fn(begin, end, chunkIndex) over contiguous chunks of [0, n) on
+/// `threads` workers of the persistent process-wide ThreadPool. Chunking is
+/// deterministic: chunk c covers [c*ceil(n/threads), ...), so merging
+/// per-chunk results in chunk order reproduces the sequential order and
+/// parallel builds stay bit-identical to serial ones at any thread count.
+///
+/// An explicit `threads` request is honored for any n (capped at n): small
+/// inputs no longer fall back to a silent serial path, so pool bugs cannot
+/// hide from tests. threads <= 1 (or n == 0) runs inline on the caller.
+///
+/// A throwing chunk does not take the process down: every chunk still
+/// runs, and the first exception in chunk-index order is rethrown on the
+/// calling thread (deterministic, whatever the threads' finishing order).
 template <typename F>
 inline void parallelChunks(std::size_t n, unsigned threads, F&& fn) {
   threads = std::max<unsigned>(

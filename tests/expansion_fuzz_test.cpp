@@ -43,7 +43,9 @@ TEST_P(ExpansionFuzz, RingAxiomsHoldExactly) {
     EXPECT_EQ((a.scale(s) - a * Expansion(s)).sign(), 0);
     // Sign is consistent with the estimate when the estimate is decisive.
     const double est = a.estimate();
-    if (std::abs(est) > 1e-3) EXPECT_EQ(a.sign(), est > 0 ? 1 : -1);
+    if (std::abs(est) > 1e-3) {
+      EXPECT_EQ(a.sign(), est > 0 ? 1 : -1);
+    }
   }
 }
 

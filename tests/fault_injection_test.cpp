@@ -412,7 +412,9 @@ TEST(LdelUnderLoss, RetryingConstructionMatchesFaultFreeOnRandomInstances) {
       EXPECT_EQ(dist.isBoundary, reference.isBoundary)
           << "seed " << seed << " loss " << loss;
       EXPECT_GE(dist.rounds, 3);
-      if (loss > 0.0) EXPECT_GT(dist.retransmissions, 0);
+      if (loss > 0.0) {
+        EXPECT_GT(dist.retransmissions, 0);
+      }
       ++instances;
     }
   }

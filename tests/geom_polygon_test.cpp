@@ -155,20 +155,6 @@ TEST(ConvexHull, BoundaryKeepsCollinearPoints) {
   EXPECT_TRUE(convexHullBoundaryIndices({}).empty());
 }
 
-TEST(ConvexHull, MergeEqualsHullOfUnion) {
-  std::mt19937 rng(11);
-  std::uniform_real_distribution<double> d(-5.0, 5.0);
-  for (int it = 0; it < 50; ++it) {
-    std::vector<Vec2> a(10);
-    std::vector<Vec2> b(10);
-    for (auto& p : a) p = {d(rng), d(rng)};
-    for (auto& p : b) p = {d(rng) + 7.0, d(rng)};
-    std::vector<Vec2> uni = a;
-    uni.insert(uni.end(), b.begin(), b.end());
-    EXPECT_EQ(mergeConvexHulls(convexHull(a), convexHull(b)), convexHull(uni));
-  }
-}
-
 // Property: every input point is inside (or on) the hull, and the hull is
 // convex and ccw.
 class HullFuzz : public ::testing::TestWithParam<int> {};

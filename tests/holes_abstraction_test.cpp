@@ -164,20 +164,6 @@ TEST(DominatingSet, PathRuleIsOptimal) {
   }
 }
 
-TEST(DominatingSet, GreedyOnGraphDominates) {
-  const auto sc = hexHoleScenario();
-  core::HybridNetwork net(sc.points);
-  std::vector<graph::NodeId> targets;
-  for (int v = 0; v < 60; ++v) targets.push_back(v);
-  const auto ds = abstraction::greedyDominatingSet(net.ldel(), targets);
-  const std::set<graph::NodeId> dset(ds.begin(), ds.end());
-  for (graph::NodeId v : targets) {
-    bool ok = dset.contains(v);
-    for (graph::NodeId nb : net.ldel().neighbors(v)) ok = ok || dset.contains(nb);
-    EXPECT_TRUE(ok) << "undominated " << v;
-  }
-}
-
 TEST(DominatingSet, DominatesChainEdgeCases) {
   EXPECT_TRUE(abstraction::dominatesChain({}, {}));
   EXPECT_FALSE(abstraction::dominatesChain({1}, {}));

@@ -65,7 +65,9 @@ TEST_F(OverlayFixture, OverlayDistanceBounds) {
     // ...and when visible, within the Delaunay spanner factor (the
     // overlay Delaunay does not keep direct edges between arbitrary
     // temporary endpoints; Thm 2.8's 1.998 bounds the detour).
-    if (vis.visible(a, b)) EXPECT_LE(od, 1.998 * geom::dist(a, b) + 1e-9);
+    if (vis.visible(a, b)) {
+      EXPECT_LE(od, 1.998 * geom::dist(a, b) + 1e-9);
+    }
   }
 }
 

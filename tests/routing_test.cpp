@@ -34,7 +34,9 @@ void checkRouteValid(const core::HybridNetwork& net, const routing::RouteResult&
     EXPECT_TRUE(net.ldel().hasEdge(r.path[i], r.path[i + 1]))
         << "hop " << r.path[i] << " -> " << r.path[i + 1] << " is not an LDel edge";
   }
-  if (r.delivered) EXPECT_EQ(r.path.back(), t);
+  if (r.delivered) {
+    EXPECT_EQ(r.path.back(), t);
+  }
 }
 
 class RoutingFixture : public ::testing::Test {

@@ -19,8 +19,8 @@
 //
 // Examples:
 //   metrics_report diff bench/baselines/e17.json /tmp/e17.json
-//   metrics_report --check bench/baselines/e18.json r1.json r2.json r3.json \
-//       --filter speedup --threshold 0.25
+//   metrics_report --check bench/baselines/e18.json r1.json r2.json r3.json
+//                  --filter speedup --threshold 0.25
 
 #include <algorithm>
 #include <cmath>
