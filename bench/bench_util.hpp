@@ -105,10 +105,10 @@ double bestSeconds(Fn&& run) {
 }
 
 /// Passes over the same pairs in one timed sample of a routeBatch thread
-/// sweep. One pass over a few hundred pairs lasts only milliseconds, too
-/// short for a stable thread-scaling ratio; twenty passes keep the fastest
-/// 1-thread sample of the gated sweeps (e20's stateless router, 3-6 ms a
-/// pass on a 4-core box) above 50 ms.
+/// sweep (and of e18's overlay engine side). One pass over a few hundred
+/// pairs lasts only milliseconds, too short for a stable ratio; twenty
+/// passes keep the fastest 1-thread sample of the gated sweeps (e20's
+/// stateless router, 3-6 ms a pass on a 4-core box) above 50 ms.
 constexpr int kBatchPasses = 20;
 
 /// Seconds per pass of `router.routeBatch(pairs, threads)`, timed by

@@ -3,9 +3,11 @@
 // Measures the query serving engine end to end against the serving path
 // from before it, testkit::referenceOverlayQuery (rebuild the query graph
 // of all sites + the two endpoints per query and run one dijkstra() over
-// it), versus the incremental engine (precomputed site-pair table,
-// endpoint connection only, workspace Dijkstra, zero steady-state
-// allocations). Also sweeps routeBatch() thread counts on full hybrid
+// it), versus the incremental engine (precomputed site-pair hub labels,
+// endpoint connection only, one hub-bucket scan, zero steady-state
+// allocations). The engine side is timed over bench::kBatchPasses passes
+// of its queries per sample (one pass lasts only milliseconds) and
+// reported per pass. Also sweeps routeBatch() thread counts on full hybrid
 // route() queries. Every timed run is preceded by an untimed warm-up so
 // both sides are measured in steady state; best-of-3 guards against
 // machine noise.
@@ -87,14 +89,17 @@ int main(int argc, char** argv) {
 
     routing::OverlayQueryWorkspace ws;
     routing::OverlayRoute route;
-    const double engineSecs = bench::bestSeconds([&] {
+    const double engineSampleSecs = bench::bestSeconds([&] {
       double acc = 0.0;
-      for (const auto& [a, b] : qpts) {
-        overlay.query(a, b, ws, route);
-        acc += route.distance;
+      for (int p = 0; p < bench::kBatchPasses; ++p) {
+        for (const auto& [a, b] : qpts) {
+          overlay.query(a, b, ws, route);
+          acc += route.distance;
+        }
       }
       sink = acc;
     });
+    const double engineSecs = engineSampleSecs / bench::kBatchPasses;
     const double legacyQps = bench::ratio(static_cast<double>(qpts.size()), legacySecs);
     const double engineQps = bench::ratio(static_cast<double>(qpts.size()), engineSecs);
 

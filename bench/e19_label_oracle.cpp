@@ -1,13 +1,14 @@
 // E19 — site-pair oracle: hub labels vs the dense h x h table, as JSON.
 //
-// The dense backend stores all-pairs distances + predecessors (12 bytes per
-// site pair) and answers a query with one array read; it is what capped the
-// overlay at kMaxTableSites. This bench rebuilds that backend faithfully
-// (one Dijkstra per site, parallel, flat dist/pred slabs) and races it
-// against HubLabelOracle on the same CSR site graph: build time, resident
-// bytes and point-to-point distance throughput. Sizes past the dense
-// memory wall (h = 32768 would need ~12 GiB of table) run labels-only —
-// that asymmetry is the point of the experiment.
+// The dense table stores all-pairs distances + predecessors (12 bytes per
+// site pair) and answers a query with one array read; it capped the overlay
+// at 4096 sites until hub labels served every visibility overlay. This
+// bench builds it with testkit::referenceSiteTable (one Dijkstra per site,
+// parallel, flat dist/pred slabs: the ground truth the label checks use)
+// and races it against HubLabelOracle on the same CSR site graph: build
+// time, resident bytes and point-to-point distance throughput. Sizes past
+// the dense memory wall (h = 32768 would need ~12 GiB of table) run
+// labels-only — that asymmetry is the point of the experiment.
 //
 // The graph models what the overlay actually hands the oracle: sites on a
 // hull ring (consecutive visibility edges) plus long-range visibility
@@ -21,7 +22,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <random>
 #include <string>
@@ -29,8 +29,8 @@
 
 #include "bench_util.hpp"
 #include "graph/csr.hpp"
-#include "graph/dijkstra_workspace.hpp"
 #include "routing/hub_labels.hpp"
+#include "testkit/oracles.hpp"
 #include "util/parallel.hpp"
 
 using namespace hybrid;
@@ -61,37 +61,6 @@ graph::CsrAdjacency makeSiteGraph(std::size_t n, unsigned seed) {
     for (std::size_t i = 0; i < n; i += span) link(i, (i + span) % n);
   }
   return graph::buildCsr(adj, pos);
-}
-
-/// Faithful replica of the dense OverlayGraph backend: one Dijkstra per
-/// site into flat h x h distance + predecessor slabs.
-struct DenseTable {
-  std::vector<double> dist;
-  std::vector<std::int32_t> pred;
-  std::size_t bytes() const {
-    return dist.size() * sizeof(double) + pred.size() * sizeof(std::int32_t);
-  }
-};
-
-DenseTable buildDense(const graph::CsrAdjacency& csr, unsigned threads) {
-  const std::size_t h = csr.numNodes();
-  DenseTable t;
-  t.dist.resize(h * h);
-  t.pred.resize(h * h);
-  util::parallelTasks(h, threads, 1,
-                      [&](std::size_t begin, std::size_t end, std::size_t) {
-                        graph::DijkstraWorkspace ws;
-                        for (std::size_t s = begin; s < end; ++s) {
-                          ws.run(csr, static_cast<int>(s));
-                          double* drow = t.dist.data() + s * h;
-                          std::int32_t* prow = t.pred.data() + s * h;
-                          for (std::size_t v = 0; v < h; ++v) {
-                            drow[v] = ws.dist(static_cast<int>(v));
-                            prow[v] = ws.pred(static_cast<int>(v));
-                          }
-                        }
-                      });
-  return t;
 }
 
 std::vector<std::pair<int, int>> queryPairs(std::size_t h, std::size_t count, unsigned seed) {
@@ -171,15 +140,14 @@ int main(int argc, char** argv) {
     std::size_t denseBytes = 0;
     if (withDense) {
       const auto db0 = std::chrono::steady_clock::now();
-      const DenseTable dense = buildDense(csr, threads);
+      const testkit::SiteTable dense = testkit::referenceSiteTable(csr, threads);
       denseBuildSecs = bench::seconds(db0, std::chrono::steady_clock::now());
       denseBytes = dense.bytes();
 
       // Cross-check before racing: the oracle must agree with the table.
       for (std::size_t i = 0; i < 1000 && i < pairs.size(); ++i) {
         const auto [s, t] = pairs[i];
-        const double want = dense.dist[static_cast<std::size_t>(s) * h +
-                                       static_cast<std::size_t>(t)];
+        const double want = dense.distance(s, t);
         const double got = labels.distance(s, t);
         if (std::fabs(got - want) > 1e-9 * std::max(1.0, want)) {
           std::fprintf(stderr, "e19_label_oracle: label/dense mismatch at h=%zu %d->%d: "
@@ -191,18 +159,15 @@ int main(int argc, char** argv) {
 
       denseQSecs = bench::bestSeconds([&] {
         double acc = 0.0;
-        for (const auto& [s, t] : pairs) {
-          acc += dense.dist[static_cast<std::size_t>(s) * h + static_cast<std::size_t>(t)];
-        }
+        for (const auto& [s, t] : pairs) acc += dense.distance(s, t);
         sink = acc;
       });
       denseDepSecs = bench::bestSeconds([&] {
         double acc = 0.0;
         unsigned carry = 0;
         for (const auto& [s, t] : pairs) {
-          const std::size_t row = (static_cast<unsigned>(s) + carry) %
-                                  static_cast<unsigned>(h);
-          const double d = dense.dist[row * h + static_cast<std::size_t>(t)];
+          const unsigned row = (static_cast<unsigned>(s) + carry) % static_cast<unsigned>(h);
+          const double d = dense.distance(static_cast<int>(row), t);
           acc += d;
           carry = static_cast<unsigned>(d * 0.0);
         }

@@ -11,8 +11,8 @@ namespace hybrid::routing {
 
 /// Pruned hub-label distance oracle over a CSR site graph.
 ///
-/// Replaces the dense h×h site-pair table for large overlays: instead of
-/// O(h^2) distances, every site u keeps a sorted label L(u) of
+/// Serves the site pairs of every visibility overlay: instead of a dense
+/// h×h table of O(h^2) distances, every site u keeps a sorted label L(u) of
 /// (hub, dist, pred) entries such that for any pair (s, t) some hub on a
 /// shortest s-t path appears in both labels — so
 /// d(s, t) = min over common hubs of d(s, w) + d(w, t), computed by one

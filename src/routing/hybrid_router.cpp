@@ -28,7 +28,6 @@ OverlayPlan HybridRouter::planOverlay(
   OverlayPlan plan;
   plan.sites = options.sites;
   plan.edges = options.edges;
-  plan.table = options.table;
   // Resolve the abstraction mode: Auto keeps the paper's convex hulls
   // while they are pairwise disjoint and switches to the bounding-box
   // overlay (which merges boxes to disjointness) when hulls interlock —
@@ -90,7 +89,7 @@ HybridRouter::HybridRouter(const graph::GeometricGraph& ldel,
     // the hole, so the backbone is declared ring-walkable.
     overlay_ = std::make_shared<const OverlayGraph>(ldel, overlayPlan_.rings,
                                                     analysis.holePolygons(), opt_.edges,
-                                                    opt_.table, /*ringBackbone=*/usesBBox_);
+                                                    /*ringBackbone=*/usesBBox_);
   }
 
   // Mark the overlay sites; a hole node that intercepts a message walks
@@ -165,10 +164,8 @@ bool HybridRouter::chewOrFallback(std::vector<graph::NodeId>& path, graph::NodeI
   if (sp.empty()) return false;
   path.insert(path.end(), sp.begin() + 1, sp.end());
   ++(*fallbacks);
-  // Abstraction fallbacks (hull intersections, blocked Chew legs) are a
-  // different failure class than dense-table capacity refusals
-  // (overlay.table.fallbacks); count them separately so experiments can
-  // attribute protocol coverage correctly.
+  // Count every abstraction fallback (hull intersections, blocked Chew
+  // legs) so experiments can attribute protocol coverage.
   HYBRID_OBS_STMT(if (obs::enabled()) {
     obs::Registry::global().counter("overlay.abstraction.fallbacks").add(1);
   });
@@ -283,7 +280,7 @@ bool HybridRouter::ringWalkBetween(std::vector<graph::NodeId>& path,
 bool HybridRouter::routeViaOverlay(std::vector<graph::NodeId>& path, graph::NodeId target,
                                    int* fallbacks) const {
   // Combined query through per-thread scratch: one solve for waypoints and
-  // distance, no allocation in the incremental (visibility-table) mode.
+  // distance, no allocation in the incremental (visibility-label) mode.
   // The waypoint loop below must not re-enter the overlay (chewOrFallback
   // only runs Chew legs / A*), or the scratch would be clobbered mid-walk.
   thread_local OverlayQueryWorkspace overlayWs;

@@ -16,9 +16,6 @@ namespace hybrid::routing {
 struct HybridOptions {
   SiteMode sites = SiteMode::HullNodes;   ///< §4 (hulls) or §3 (all hole nodes).
   EdgeMode edges = EdgeMode::Delaunay;    ///< Overlay edges: O(h) vs Theta(h^2).
-  /// Site-pair backend of the visibility overlay: dense h^2 table, hub
-  /// labels, or size-based auto selection.
-  TableMode table = TableMode::Auto;
   /// Per-hole abstraction feeding the overlay: convex hulls (the source
   /// paper, A* fallback on intersecting hulls), bounding boxes
   /// (arXiv:1810.05453, competitive on interlocking holes), or Auto
@@ -30,16 +27,15 @@ struct HybridOptions {
 /// share slabs: two routers whose plans compare equal would build
 /// byte-identical overlays (the build is deterministic at any thread
 /// count), so the newer router may adopt the older one's overlay — site
-/// graph, dense site-pair table or hub-label slab included — instead of
-/// rebuilding it. Site rings are kept in build order because the backbone
-/// edge set depends on ring traversal order, and ring node *positions* are
-/// captured separately because site ids alone do not pin the geometry when
-/// interior nodes churn between epochs.
+/// graph and hub-label slab included — instead of rebuilding it. Site
+/// rings are kept in build order because the backbone edge set depends on
+/// ring traversal order, and ring node *positions* are captured separately
+/// because site ids alone do not pin the geometry when interior nodes churn
+/// between epochs.
 struct OverlayPlan {
   bool bbox = false;  ///< Bounding-box sites with a ring-walkable backbone.
   SiteMode sites = SiteMode::HullNodes;
   EdgeMode edges = EdgeMode::Delaunay;
-  TableMode table = TableMode::Auto;
   std::vector<std::vector<graph::NodeId>> rings;      ///< Site rings, build order.
   std::vector<geom::Vec2> ringPositions;              ///< Flattened ring positions.
   std::vector<std::vector<geom::Vec2>> holePolygons;  ///< Visibility obstacles.

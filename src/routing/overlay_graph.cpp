@@ -1,15 +1,11 @@
 #include "routing/overlay_graph.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <limits>
 #include <map>
-#include <mutex>
 
 #include "delaunay/triangulation.hpp"
-#include "graph/dijkstra_workspace.hpp"
 #include "graph/shortest_path.hpp"
 #include "obs/span.hpp"
 #include "util/parallel.hpp"
@@ -18,12 +14,6 @@ namespace hybrid::routing {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Runtime-overridable backend limits (setTableLimitsForTest); relaxed
-/// atomics because tests set them before constructing overlays.
-std::atomic<std::size_t> gDenseCap{OverlayGraph::kMaxTableSites};
-std::atomic<std::size_t> gAutoThreshold{1024};
-std::once_flag gFallbackLogOnce;
 
 #ifndef HYBRID_OBS_DISABLED
 /// Registry handles resolved once; hot queries only touch the atomics.
@@ -54,25 +44,6 @@ struct QueryMetrics {
 #endif
 }  // namespace
 
-const char* tableModeName(TableMode mode) {
-  switch (mode) {
-    case TableMode::Dense:
-      return "dense";
-    case TableMode::HubLabels:
-      return "labels";
-    case TableMode::Auto:
-      break;
-  }
-  return "auto";
-}
-
-std::optional<TableMode> parseTableMode(std::string_view name) {
-  if (name == "dense") return TableMode::Dense;
-  if (name == "labels") return TableMode::HubLabels;
-  if (name == "auto") return TableMode::Auto;
-  return std::nullopt;
-}
-
 const char* abstractionModeName(AbstractionMode mode) {
   switch (mode) {
     case AbstractionMode::Hulls:
@@ -92,26 +63,11 @@ std::optional<AbstractionMode> parseAbstractionMode(std::string_view name) {
   return std::nullopt;
 }
 
-std::size_t OverlayGraph::denseCap() { return gDenseCap.load(std::memory_order_relaxed); }
-
-std::size_t OverlayGraph::autoLabelThreshold() {
-  return gAutoThreshold.load(std::memory_order_relaxed);
-}
-
-std::pair<std::size_t, std::size_t> OverlayGraph::setTableLimitsForTest(
-    std::size_t denseCap, std::size_t autoThreshold) {
-  std::pair<std::size_t, std::size_t> prev{gDenseCap.load(std::memory_order_relaxed),
-                                           gAutoThreshold.load(std::memory_order_relaxed)};
-  if (denseCap != 0) gDenseCap.store(denseCap, std::memory_order_relaxed);
-  if (autoThreshold != 0) gAutoThreshold.store(autoThreshold, std::memory_order_relaxed);
-  return prev;
-}
-
 OverlayGraph::OverlayGraph(const graph::GeometricGraph& ldel,
                            const std::vector<std::vector<graph::NodeId>>& siteRings,
                            std::vector<geom::Polygon> obstacles, EdgeMode edgeMode,
-                           TableMode table, bool ringBackbone)
-    : vis_(std::move(obstacles)), edgeMode_(edgeMode), tableMode_(table) {
+                           bool ringBackbone)
+    : vis_(std::move(obstacles)), edgeMode_(edgeMode) {
   obs::ScopedSpan buildSpan("overlay.build");
   ringBackbone_ = ringBackbone;
   std::map<graph::NodeId, int> local;
@@ -176,119 +132,30 @@ void OverlayGraph::buildSitePairTable() {
   const std::size_t h = sitePos_.size();
   // Delaunay queries re-triangulate with the endpoints inserted, so the
   // static site graph cannot answer them; only visibility mode serves
-  // from a site-pair backend.
+  // from site-pair labels.
   if (edgeMode_ != EdgeMode::Visibility || h == 0) return;
 
-  // Resolve the backend. Auto stays dense while the h^2 table is cheap
-  // (below both the auto threshold and the dense cap) and switches to hub
-  // labels above it; an explicit Dense request above the cap cannot be
-  // honored and resolves to hub labels — loudly, because the caller asked
-  // for a backend it did not get.
-  bool wantLabels = false;
-  switch (tableMode_) {
-    case TableMode::Dense:
-      break;
-    case TableMode::HubLabels:
-      wantLabels = true;
-      break;
-    case TableMode::Auto:
-      wantLabels = h > std::min(autoLabelThreshold(), denseCap());
-      break;
-  }
-  if (!wantLabels && h > denseCap()) {
-    wantLabels = true;
-    HYBRID_OBS_STMT(if (obs::enabled()) {
-      obs::Registry::global().counter("overlay.table.fallbacks").add(1);
-    });
-    std::call_once(gFallbackLogOnce, [&] {
-      std::fprintf(stderr,
-                   "[overlay] dense site table refused: %zu sites exceed the cap of %zu; "
-                   "hub labels serve the request instead. This is a table-capacity "
-                   "fallback (overlay.table.fallbacks), distinct from the router's "
-                   "hull-intersection A* splices (overlay.abstraction.fallbacks)\n",
-                   h, denseCap());
-    });
-  }
-
   siteCsr_ = graph::buildCsr(siteAdj_, sitePos_);
-  usesHubLabels_ = wantLabels;
   const unsigned threads = h >= 96 ? util::resolveThreads(0) : 1;
-
-  if (wantLabels) {
 #ifndef HYBRID_OBS_DISABLED
-    const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
 #endif
-    labels_.build(siteCsr_, threads);
-    HYBRID_OBS_STMT(if (obs::enabled()) {
-      const double ms =
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-              .count();
-      auto& reg = obs::Registry::global();
-      reg.counter("overlay.table.builds").add(1);
-      reg.counter("overlay.table.dijkstras").add(h);
-      reg.counter("overlay.table.relaxations").add(labels_.buildRelaxations());
-      reg.counter("overlay.table.heap_pops").add(labels_.buildHeapPops());
-      reg.gauge("overlay.table.sites").set(static_cast<double>(h));
-      reg.gauge("overlay.labels.count").set(static_cast<double>(labels_.numEntries()));
-      reg.gauge("overlay.labels.bytes").set(static_cast<double>(labels_.labelBytes()));
-      reg.gauge("overlay.labels.max_label").set(static_cast<double>(labels_.maxLabelSize()));
-      reg.gauge("overlay.labels.build_ms").set(ms);
-    });
-    return;
-  }
-
-  siteDist_.assign(h * h, kInf);
-  sitePred_.assign(h * h, -1);
-  // One Dijkstra per source site; rows are independent, so the parallel
-  // fill is deterministic at any thread count.
-  util::parallelChunks(h, threads, [&](std::size_t begin, std::size_t end, unsigned) {
-    graph::DijkstraWorkspace ws;
-    for (std::size_t i = begin; i < end; ++i) {
-      ws.run(siteCsr_, static_cast<graph::NodeId>(i));
-      double* distRow = siteDist_.data() + i * h;
-      std::int32_t* predRow = sitePred_.data() + i * h;
-      for (std::size_t j = 0; j < h; ++j) {
-        distRow[j] = ws.dist(static_cast<graph::NodeId>(j));
-        predRow[j] = ws.pred(static_cast<graph::NodeId>(j));
-      }
-    }
-    // One flush per chunk; the relaxation total is the sum over source
-    // sites, so it is identical at every thread count.
-    HYBRID_OBS_STMT(if (obs::enabled()) {
-      auto& reg = obs::Registry::global();
-      static obs::Counter& cRelax = reg.counter("overlay.table.relaxations");
-      static obs::Counter& cPops = reg.counter("overlay.table.heap_pops");
-      cRelax.add(ws.relaxations());
-      cPops.add(ws.heapPops());
-    });
-  });
+  labels_.build(siteCsr_, threads);
   HYBRID_OBS_STMT(if (obs::enabled()) {
+    const double ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+            .count();
     auto& reg = obs::Registry::global();
     reg.counter("overlay.table.builds").add(1);
     reg.counter("overlay.table.dijkstras").add(h);
+    reg.counter("overlay.table.relaxations").add(labels_.buildRelaxations());
+    reg.counter("overlay.table.heap_pops").add(labels_.buildHeapPops());
     reg.gauge("overlay.table.sites").set(static_cast<double>(h));
+    reg.gauge("overlay.labels.count").set(static_cast<double>(labels_.numEntries()));
+    reg.gauge("overlay.labels.bytes").set(static_cast<double>(labels_.labelBytes()));
+    reg.gauge("overlay.labels.max_label").set(static_cast<double>(labels_.maxLabelSize()));
+    reg.gauge("overlay.labels.build_ms").set(ms);
   });
-}
-
-bool OverlayGraph::sitePathLocal(int i, int j, std::vector<int>& out) const {
-  if (usesHubLabels_) return labels_.path(i, j, out);
-  const std::size_t h = sitePos_.size();
-  const std::size_t before = out.size();
-  const std::int32_t* predRow = sitePred_.data() + static_cast<std::size_t>(i) * h;
-  std::size_t hops = 0;
-  for (int v = j; v != -1; v = predRow[static_cast<std::size_t>(v)]) {
-    if (++hops > h) {  // corrupted pred chain guard
-      out.resize(before);
-      return false;
-    }
-    out.push_back(v);
-  }
-  if (out[out.size() - 1] != i) {  // never reached the source: disconnected
-    out.resize(before);
-    return false;
-  }
-  std::reverse(out.begin() + static_cast<std::ptrdiff_t>(before), out.end());
-  return true;
 }
 
 OverlayGraph::Query OverlayGraph::buildQueryGraph(geom::Vec2 from, geom::Vec2 to) const {
@@ -369,16 +236,15 @@ void OverlayGraph::queryIncremental(geom::Vec2 from, geom::Vec2 to,
   ws.obsHubMerge_ = 0;
   struct ObsFlush {
     const OverlayQueryWorkspace& ws;
-    bool labels;
     ~ObsFlush() {
       if (!obs::enabled()) return;
       auto& m = QueryMetrics::get();
       m.incremental.add(1);
       m.visRun.add(ws.obsVisRun_);
       m.visPruned.add(ws.obsVisPruned_);
-      if (labels) m.hubMerge.record(static_cast<double>(ws.obsHubMerge_));
+      m.hubMerge.record(static_cast<double>(ws.obsHubMerge_));
     }
-  } obsFlush{ws, usesHubLabels_};
+  } obsFlush{ws};
 #endif
   const std::size_t h = sitePos_.size();
   // Endpoints that coincide with a site enter the overlay there at cost 0,
@@ -448,7 +314,7 @@ void OverlayGraph::queryIncremental(geom::Vec2 from, geom::Vec2 to,
     double bound = best;
     if (bound == kInf && h > 0) {
       // Direct segment blocked: seed a finite bound from the
-      // nearest-by-lower-bound visible entry and exit joined by the table.
+      // nearest-by-lower-bound visible entry and exit joined by the labels.
       // The through-site lower bound |from - s| + |s - to| orders both
       // walks, so it is computed and sorted once.
       ws.seedLB_.resize(h);
@@ -464,7 +330,7 @@ void OverlayGraph::queryIncremental(geom::Vec2 from, geom::Vec2 to,
       });
       // A handful of seeds per side tightens the bound considerably over a
       // single pair (the nearest visible entry and exit are often on the
-      // same side of the blocking hole, forcing a long table detour).
+      // same side of the blocking hole, forcing a long overlay detour).
       constexpr int kSeeds = 3;
       int seedEntries[kSeeds];
       int seedExits[kSeeds];
@@ -493,20 +359,17 @@ void OverlayGraph::queryIncremental(geom::Vec2 from, geom::Vec2 to,
         const int i = seedEntries[a];
         const double entryLeg =
             i == fromSite ? 0.0 : geom::dist(from, sitePos_[static_cast<std::size_t>(i)]);
-        if (usesHubLabels_) {
-          // Batched label merge: stamp i's label into the hub buckets once
-          // and answer every exit from them, instead of one full
-          // two-pointer merge per (i, j) pair. Values are identical to
-          // sitePairDistance() per pair.
-          labels_.distanceMany(i, {seedExits, static_cast<std::size_t>(numExits)},
-                               ws.hubMergeWs_, {seedDist, static_cast<std::size_t>(numExits)});
-        }
+        // Batched label merge: stamp i's label into the hub buckets once
+        // and answer every exit from them, instead of one full two-pointer
+        // merge per (i, j) pair. Values are identical to
+        // sitePairDistance() per pair.
+        labels_.distanceMany(i, {seedExits, static_cast<std::size_t>(numExits)},
+                             ws.hubMergeWs_, {seedDist, static_cast<std::size_t>(numExits)});
         for (int b = 0; b < numExits; ++b) {
           const int j = seedExits[b];
           const double exitLeg =
               j == toSite ? 0.0 : geom::dist(sitePos_[static_cast<std::size_t>(j)], to);
-          const double mid = usesHubLabels_ ? seedDist[b] : sitePairDistance(i, j);
-          bound = std::min(bound, entryLeg + mid + exitLeg);
+          bound = std::min(bound, entryLeg + seedDist[b] + exitLeg);
         }
       }
     }
@@ -549,65 +412,48 @@ void OverlayGraph::queryIncremental(geom::Vec2 from, geom::Vec2 to,
       }
     }
 
-    // Best entry/exit-site combination over the site-pair backend.
-    if (usesHubLabels_) {
-      // Hub-bucket scan instead of |entry| x |exit| label merges: pass 1
-      // buckets the entry side per hub (min over entry sites i of
-      // d(from,i) + d(i,w)), pass 2 completes each exit label against the
-      // buckets — O(sum of touched label sizes) total. Buckets are
-      // generation-stamped so queries never pay an O(h) clear.
-      if (ws.hubStamp_.size() < h) {
-        ws.hubVal_.resize(h);
-        ws.hubEntry_.resize(h);
-        ws.hubStamp_.resize(h, 0);
-      }
-      ++ws.hubGen_;
-      if (ws.hubGen_ == 0) {  // stamp wrap-around: re-zero and restart
-        std::fill(ws.hubStamp_.begin(), ws.hubStamp_.end(), 0);
-        ws.hubGen_ = 1;
-      }
-      for (const int i : ws.entrySites_) {
-        const double di = ws.entryDist_[static_cast<std::size_t>(i)];
-        const auto li = labels_.label(i);
-        HYBRID_OBS_STMT(ws.obsHubMerge_ += li.size());
-        for (const auto& e : li) {
-          const double cand = di + e.dist;
-          const auto w = static_cast<std::size_t>(e.hub);
-          if (ws.hubStamp_[w] != ws.hubGen_ || cand < ws.hubVal_[w]) {
-            ws.hubStamp_[w] = ws.hubGen_;
-            ws.hubVal_[w] = cand;
-            ws.hubEntry_[w] = i;
-          }
+    // Best entry/exit-site combination over the site-pair labels, by a
+    // hub-bucket scan instead of |entry| x |exit| label merges: pass 1
+    // buckets the entry side per hub (min over entry sites i of
+    // d(from,i) + d(i,w)), pass 2 completes each exit label against the
+    // buckets — O(sum of touched label sizes) total. Buckets are
+    // generation-stamped so queries never pay an O(h) clear.
+    if (ws.hubStamp_.size() < h) {
+      ws.hubVal_.resize(h);
+      ws.hubEntry_.resize(h);
+      ws.hubStamp_.resize(h, 0);
+    }
+    ++ws.hubGen_;
+    if (ws.hubGen_ == 0) {  // stamp wrap-around: re-zero and restart
+      std::fill(ws.hubStamp_.begin(), ws.hubStamp_.end(), 0);
+      ws.hubGen_ = 1;
+    }
+    for (const int i : ws.entrySites_) {
+      const double di = ws.entryDist_[static_cast<std::size_t>(i)];
+      const auto li = labels_.label(i);
+      HYBRID_OBS_STMT(ws.obsHubMerge_ += li.size());
+      for (const auto& e : li) {
+        const double cand = di + e.dist;
+        const auto w = static_cast<std::size_t>(e.hub);
+        if (ws.hubStamp_[w] != ws.hubGen_ || cand < ws.hubVal_[w]) {
+          ws.hubStamp_[w] = ws.hubGen_;
+          ws.hubVal_[w] = cand;
+          ws.hubEntry_[w] = i;
         }
       }
-      for (const int j : ws.exitSites_) {
-        const double dj = ws.exitDist_[static_cast<std::size_t>(j)];
-        const auto lj = labels_.label(j);
-        HYBRID_OBS_STMT(ws.obsHubMerge_ += lj.size());
-        for (const auto& e : lj) {
-          const auto w = static_cast<std::size_t>(e.hub);
-          if (ws.hubStamp_[w] != ws.hubGen_) continue;
-          const double cand = ws.hubVal_[w] + e.dist + dj;
-          if (cand < best) {
-            best = cand;
-            bestEntry = ws.hubEntry_[w];
-            bestExit = j;
-          }
-        }
-      }
-    } else {
-      for (const int i : ws.entrySites_) {
-        const double di = ws.entryDist_[static_cast<std::size_t>(i)];
-        if (di >= best) continue;
-        const double* distRow = siteDist_.data() + static_cast<std::size_t>(i) * h;
-        for (const int j : ws.exitSites_) {
-          const double cand = di + distRow[static_cast<std::size_t>(j)] +
-                              ws.exitDist_[static_cast<std::size_t>(j)];
-          if (cand < best) {
-            best = cand;
-            bestEntry = i;
-            bestExit = j;
-          }
+    }
+    for (const int j : ws.exitSites_) {
+      const double dj = ws.exitDist_[static_cast<std::size_t>(j)];
+      const auto lj = labels_.label(j);
+      HYBRID_OBS_STMT(ws.obsHubMerge_ += lj.size());
+      for (const auto& e : lj) {
+        const auto w = static_cast<std::size_t>(e.hub);
+        if (ws.hubStamp_[w] != ws.hubGen_) continue;
+        const double cand = ws.hubVal_[w] + e.dist + dj;
+        if (cand < best) {
+          best = cand;
+          bestEntry = ws.hubEntry_[w];
+          bestExit = j;
         }
       }
     }
@@ -622,8 +468,8 @@ void OverlayGraph::queryIncremental(geom::Vec2 from, geom::Vec2 to,
   }
 
   ws.pathScratch_.clear();
-  if (!sitePathLocal(bestEntry, bestExit, ws.pathScratch_)) {
-    // Table says reachable but the pred walk failed: should not happen.
+  if (!labels_.path(bestEntry, bestExit, ws.pathScratch_)) {
+    // Labels say reachable but the pred walk failed: should not happen.
     out.reachable = false;
     out.distance = kInf;
     return;

@@ -79,8 +79,8 @@ FuzzSummary runFuzz(const FuzzOptions& opts) {
 
     int failedOracle = -1;
     try {
-      const CaseContext ctx(gc.scenario, caseSeed, opts.threads, opts.bug, opts.tableMode,
-                            opts.routerKind, opts.abstractionMode);
+      const CaseContext ctx(gc.scenario, caseSeed, opts.threads, opts.bug, opts.routerKind,
+                            opts.abstractionMode);
       const CaseVerdict v = runOracles(ctx, &summary.perOracle);
       failedOracle = v.failedOracle;
       if (failedOracle >= 0) {
@@ -106,16 +106,16 @@ FuzzSummary runFuzz(const FuzzOptions& opts) {
     const auto reproduces = [&](const scenario::Scenario& candidate) {
       if (failure.oracle == "construction") {
         try {
-          CaseContext probe(candidate, caseSeed, opts.threads, opts.bug, opts.tableMode,
-                            opts.routerKind, opts.abstractionMode);
+          CaseContext probe(candidate, caseSeed, opts.threads, opts.bug, opts.routerKind,
+                            opts.abstractionMode);
           (void)probe;
           return false;
         } catch (...) {
           return true;
         }
       }
-      const CaseContext probe(candidate, caseSeed, opts.threads, opts.bug, opts.tableMode,
-                              opts.routerKind, opts.abstractionMode);
+      const CaseContext probe(candidate, caseSeed, opts.threads, opts.bug, opts.routerKind,
+                              opts.abstractionMode);
       const OracleResult r = reg[static_cast<std::size_t>(failedOracle)].check(probe);
       return !r.ok && !r.skipped;
     };

@@ -24,10 +24,6 @@ struct FuzzOptions {
   /// Deliberate defect to plant (fuzz_router --inject-bug); proves the
   /// find -> shrink -> record pipeline end to end.
   InjectedBug bug = InjectedBug::None;
-  /// Site-pair backend the router-building oracles run against
-  /// (fuzz_router --table-mode); lets the whole registry exercise hub
-  /// labels, not just the label_parity oracle.
-  routing::TableMode tableMode = routing::TableMode::Auto;
   /// Serving engine the batch-serving oracles run against
   /// (fuzz_router --router); stateless swaps in the per-node label
   /// forwarder beyond what stateless_parity always cross-checks.

@@ -14,7 +14,6 @@
 #include "abstraction/hull_groups.hpp"
 #include "delaunay/triangulation.hpp"
 #include "graph/csr.hpp"
-#include "graph/dijkstra_workspace.hpp"
 #include "graph/shortest_path.hpp"
 #include "protocols/ldel_protocol.hpp"
 #include "protocols/reliable.hpp"
@@ -279,7 +278,6 @@ OracleResult checkOverlayParity(const CaseContext& ctx) {
   for (const routing::EdgeMode em :
        {routing::EdgeMode::Visibility, routing::EdgeMode::Delaunay}) {
     routing::HybridOptions opts{.sites = routing::SiteMode::HullNodes, .edges = em};
-    opts.table = ctx.tableMode();
     opts.abstraction = ctx.abstractionMode();
     const auto router = net.makeRouter(opts);
     const routing::OverlayGraph& overlay = router->overlay();
@@ -398,9 +396,7 @@ OracleResult checkCompetitiveBound(const CaseContext& ctx) {
       {routing::EdgeMode::Delaunay, 35.37, "delaunay"},
   };
   for (const auto& [mode, bound, label] : routers) {
-    routing::HybridOptions opts{.sites = routing::SiteMode::AllHoleNodes, .edges = mode};
-    opts.table = ctx.tableMode();
-    const auto router = net.makeRouter(opts);
+    const auto router = net.makeRouter({.sites = routing::SiteMode::AllHoleNodes, .edges = mode});
     for (std::size_t i = 0; i < ctx.pairs().size(); ++i) {
       const auto [s, t] = ctx.pairs()[i];
       const auto r = router->route(s, t);
@@ -714,18 +710,13 @@ OracleResult checkSimDeliveryParity(const CaseContext& ctx) {
 
 OracleResult checkLabelParity(const CaseContext& ctx) {
   const auto& net = ctx.net();
-  const auto labelRouter = net.makeRouter({.sites = routing::SiteMode::HullNodes,
-                                           .edges = routing::EdgeMode::Visibility,
-                                           .table = routing::TableMode::HubLabels});
-  const routing::OverlayGraph& lov = labelRouter->overlay();
-  if (lov.sites().empty()) return skipResult();  // hole-free: no labels to check
-  if (!lov.usesHubLabels()) {
-    return failResult("hub-label backend requested but not engaged");
-  }
-  const routing::HubLabelOracle& integrated = lov.hubLabels();
-  const graph::CsrAdjacency csr =
-      graph::buildCsr(lov.siteAdjacency(), lov.sitePositions());
-  const int h = static_cast<int>(lov.sitePositions().size());
+  const auto router = net.makeRouter(
+      {.sites = routing::SiteMode::HullNodes, .edges = routing::EdgeMode::Visibility});
+  const routing::OverlayGraph& overlay = router->overlay();
+  if (overlay.sites().empty()) return skipResult();  // hole-free: no labels to check
+  const routing::HubLabelOracle& integrated = overlay.hubLabels();
+  const graph::CsrAdjacency csr = graph::buildCsr(overlay.siteAdjacency(), overlay.sitePositions());
+  const int h = static_cast<int>(overlay.sitePositions().size());
 
   // Thread invariance + the drop-label-hub bug surface: local rebuilds at
   // several thread counts must be byte-identical to the integrated slab.
@@ -746,27 +737,33 @@ OracleResult checkLabelParity(const CaseContext& ctx) {
     }
   }
 
-  // Sampled site pairs against unpruned Dijkstra ground truth: distance,
-  // path validity (real site-graph edges) and path length.
+  // Every site-pair distance against the dense reference table.
+  const SiteTable table = referenceSiteTable(csr, static_cast<unsigned>(ctx.threads()));
+  for (int s = 0; s < h; ++s) {
+    for (int t = 0; t < h; ++t) {
+      const double want = table.distance(s, t);
+      const double got = integrated.distance(s, t);
+      if (!closeEnough(got, want, kDistEps)) {
+        std::ostringstream os;
+        os << "label distance mismatch at site pair " << s << "->" << t << ": labels=" << got
+           << " dense=" << want;
+        return failResult(os.str());
+      }
+    }
+  }
+
+  // Sampled site pairs: label paths are real site-graph paths between the
+  // endpoints that realize the label distance.
   std::mt19937_64 rng(deriveSeed(ctx.seed(), 0x6c61626c /* "labl" */));
   std::uniform_int_distribution<int> pickSite(0, h - 1);
-  graph::DijkstraWorkspace ws;
   std::vector<int> path;
   for (int a = 0; a < std::min(h, 4); ++a) {
     const int s = pickSite(rng);
-    ws.run(csr, s);
     for (int b = 0; b < 8; ++b) {
       const int t = pickSite(rng);
-      const double want = ws.dist(t);
-      const double got = integrated.distance(s, t);
+      const double want = integrated.distance(s, t);
       std::ostringstream at;
       at << "site pair " << s << "->" << t;
-      if (!closeEnough(got, want, kDistEps)) {
-        std::ostringstream os;
-        os << "label distance mismatch at " << at.str() << ": labels=" << got
-           << " dijkstra=" << want;
-        return failResult(os.str());
-      }
       path.clear();
       const bool reached = integrated.path(s, t, path);
       if (reached == std::isinf(want)) {
@@ -781,59 +778,19 @@ OracleResult checkLabelParity(const CaseContext& ctx) {
       for (std::size_t k = 0; k + 1 < path.size(); ++k) {
         const int u = path[k];
         const int v = path[k + 1];
-        const auto& nbs = lov.siteAdjacency()[static_cast<std::size_t>(u)];
+        const auto& nbs = overlay.siteAdjacency()[static_cast<std::size_t>(u)];
         if (std::find(nbs.begin(), nbs.end(), v) == nbs.end()) {
           std::ostringstream os;
           os << "label path uses a non-edge " << u << "-" << v << " at " << at.str();
           return failResult(os.str());
         }
-        len += geom::dist(lov.sitePositions()[static_cast<std::size_t>(u)],
-                          lov.sitePositions()[static_cast<std::size_t>(v)]);
+        len += geom::dist(overlay.sitePositions()[static_cast<std::size_t>(u)],
+                          overlay.sitePositions()[static_cast<std::size_t>(v)]);
       }
-      if (!closeEnough(len, got, kDistEps)) {
+      if (!closeEnough(len, want, kDistEps)) {
         std::ostringstream os;
         os << "label path does not realize the label distance at " << at.str()
-           << ": path=" << len << " distance=" << got;
-        return failResult(os.str());
-      }
-    }
-  }
-
-  // End-to-end query parity against the dense backend.
-  const auto denseRouter = net.makeRouter({.sites = routing::SiteMode::HullNodes,
-                                           .edges = routing::EdgeMode::Visibility,
-                                           .table = routing::TableMode::Dense});
-  const routing::OverlayGraph& dov = denseRouter->overlay();
-  const auto bbox = geom::BBox::of(net.ldel().positions());
-  std::uniform_real_distribution<double> dx(bbox.lo.x, bbox.hi.x);
-  std::uniform_real_distribution<double> dy(bbox.lo.y, bbox.hi.y);
-  for (int q = 0; q < 8; ++q) {
-    geom::Vec2 a{dx(rng), dy(rng)};
-    geom::Vec2 b{dx(rng), dy(rng)};
-    if (q % 3 == 2) {  // pure site-to-site lookups have their own branch
-      a = lov.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
-      b = lov.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
-    }
-    const routing::OverlayRoute ref = dov.waypointsWithDistance(a, b);
-    const routing::OverlayRoute fresh = lov.waypointsWithDistance(a, b);
-    std::ostringstream at;
-    at << "query " << q << " (" << a.x << "," << a.y << ")->(" << b.x << "," << b.y << ")";
-    if (fresh.reachable != ref.reachable) {
-      return failResult("label/dense reachability mismatch at " + at.str());
-    }
-    if (!fresh.reachable) continue;
-    if (!closeEnough(fresh.distance, ref.distance, kDistEps)) {
-      std::ostringstream os;
-      os << "label/dense distance mismatch at " << at.str() << ": labels="
-         << fresh.distance << " dense=" << ref.distance;
-      return failResult(os.str());
-    }
-    if (fresh.waypoints != ref.waypoints) {
-      const double len = polylineLength(net, a, b, fresh.waypoints);
-      if (!closeEnough(len, ref.distance, kDistEps)) {
-        std::ostringstream os;
-        os << "label waypoints do not realize the optimal distance at " << at.str()
-           << ": polyline=" << len << " optimal=" << ref.distance;
+           << ": path=" << len << " distance=" << want;
         return failResult(os.str());
       }
     }
@@ -1035,7 +992,6 @@ OracleResult checkBBoxParity(const CaseContext& ctx) {
        {routing::EdgeMode::Visibility, routing::EdgeMode::Delaunay}) {
     const char* label = em == routing::EdgeMode::Visibility ? "visibility" : "delaunay";
     routing::HybridOptions opts{.sites = routing::SiteMode::HullNodes, .edges = em};
-    opts.table = ctx.tableMode();
     opts.abstraction = routing::AbstractionMode::BBox;
     const auto router = net.makeRouter(opts);
     if (!router->usesBBox()) {
@@ -1125,7 +1081,6 @@ OracleResult checkChurnServing(const CaseContext& ctx) {
   }
 
   serve::ServiceOptions opts;
-  opts.router.table = ctx.tableMode();
   opts.router.abstraction = ctx.abstractionMode();
   opts.updateFaults.seed = deriveSeed(ctx.seed(), 0x63687266 /* "chrf" */);
   opts.updateFaults.adHocDrop = 0.1;
@@ -1242,13 +1197,12 @@ std::optional<RouterKind> parseRouterKind(std::string_view name) {
 }
 
 CaseContext::CaseContext(scenario::Scenario sc, std::uint64_t seed, int threads,
-                         InjectedBug bug, routing::TableMode table, RouterKind router,
+                         InjectedBug bug, RouterKind router,
                          routing::AbstractionMode abstraction)
     : sc_(std::move(sc)),
       seed_(seed),
       threads_(threads < 1 ? 1 : threads),
       bug_(bug),
-      table_(table),
       router_(router),
       abstraction_(abstraction),
       net_(sc_.points, sc_.radius) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/hybrid_network.hpp"
+#include "graph/csr.hpp"
 #include "routing/overlay_graph.hpp"
 #include "routing/router.hpp"
 #include "scenario/generator.hpp"
@@ -61,14 +62,11 @@ class CaseContext {
   /// `seed` drives the query pairs (deterministically); `threads` is what
   /// routeBatch/simulator parallel paths run at (their results must be
   /// thread-count-invariant — that invariance is itself under test).
-  /// `table` selects the site-pair backend the router-building oracles
-  /// exercise, so the whole registry can run against hub labels; `router`
-  /// selects the serving engine of the batch-serving oracles;
+  /// `router` selects the serving engine of the batch-serving oracles;
   /// `abstraction` selects the per-hole abstraction those oracles build
   /// routers with (bbox_parity always forces BBox regardless).
   CaseContext(scenario::Scenario sc, std::uint64_t seed, int threads = 2,
               InjectedBug bug = InjectedBug::None,
-              routing::TableMode table = routing::TableMode::Auto,
               RouterKind router = RouterKind::Centralized,
               routing::AbstractionMode abstraction = routing::AbstractionMode::Hulls);
   CaseContext(const CaseContext&) = delete;
@@ -80,7 +78,6 @@ class CaseContext {
   std::uint64_t seed() const { return seed_; }
   int threads() const { return threads_; }
   InjectedBug bug() const { return bug_; }
-  routing::TableMode tableMode() const { return table_; }
   RouterKind routerKind() const { return router_; }
   routing::AbstractionMode abstractionMode() const { return abstraction_; }
 
@@ -89,7 +86,6 @@ class CaseContext {
   std::uint64_t seed_;
   int threads_;
   InjectedBug bug_;
-  routing::TableMode table_;
   RouterKind router_ = RouterKind::Centralized;
   routing::AbstractionMode abstraction_ = routing::AbstractionMode::Hulls;
   core::HybridNetwork net_;
@@ -127,10 +123,10 @@ struct Oracle {
 ///                       at 1, k and 2k threads: byte-identical traces and
 ///                       stats, every trace in (round, recipient, sender)
 ///                       order
-///  - label_parity:      hub-label oracle vs the dense table: byte-identical
-///                       rebuilds at other thread counts, sampled site-pair
-///                       distances/paths vs Dijkstra ground truth, and
-///                       end-to-end query parity against the dense backend
+///  - label_parity:      the overlay's hub labels: byte-identical rebuilds
+///                       at other thread counts, every site-pair distance
+///                       vs referenceSiteTable, sampled label paths are
+///                       real site-graph paths realizing their distance
 ///  - stateless_parity:  per-node label hop walk vs the centralized label
 ///                       path: same delivery verdict, real graph edges,
 ///                       identical length; labels byte-identical across
@@ -169,5 +165,26 @@ routing::OverlayRoute referenceOverlayQuery(const routing::OverlayGraph& overlay
 /// removals.
 delaunay::LocalizedDelaunay referenceLocalizedDelaunay(const std::vector<geom::Vec2>& points,
                                                        const delaunay::LDelOptions& opts = {});
+
+/// Dense site-pair table: all-pairs shortest distances and predecessors of
+/// a site graph in flat h x h slabs (row = source site), 12 bytes a pair.
+struct SiteTable {
+  std::size_t h = 0;
+  std::vector<double> dist;        ///< dist[i * h + j]; +inf when disconnected.
+  std::vector<std::int32_t> pred;  ///< j's parent toward i; -1 at i or unreached.
+
+  double distance(int i, int j) const {
+    return dist[static_cast<std::size_t>(i) * h + static_cast<std::size_t>(j)];
+  }
+  std::size_t bytes() const {
+    return dist.size() * sizeof(double) + pred.size() * sizeof(std::int32_t);
+  }
+};
+
+/// Site-pair ground truth: one Dijkstra per site of `csr` into a SiteTable,
+/// rows filled in parallel on `threads` workers (every thread count gives
+/// the same table). label_parity, OverlayParity and e19 compare the hub
+/// labels against it.
+SiteTable referenceSiteTable(const graph::CsrAdjacency& csr, unsigned threads);
 
 }  // namespace hybrid::testkit

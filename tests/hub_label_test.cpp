@@ -7,10 +7,7 @@
 #include "graph/csr.hpp"
 #include "graph/dijkstra_workspace.hpp"
 #include "graph/graph.hpp"
-#include "obs/metrics.hpp"
 #include "routing/hub_labels.hpp"
-#include "routing/overlay_graph.hpp"
-#include "testkit/oracles.hpp"
 
 namespace hybrid::routing {
 namespace {
@@ -186,90 +183,6 @@ TEST(HubLabels, CorruptionIsDetectableAndPathsFailClean) {
     EXPECT_EQ(path.back(), t);
     EXPECT_LE(path.size(), static_cast<std::size_t>(2 * n + 4));
   }
-}
-
-/// Overlay plumbing around the oracle: a circle-of-sites geometry small
-/// enough for unit tests, with the runtime caps lowered so the Dense-over-cap
-/// fallback and the Auto switchover both trigger.
-class HubLabelOverlayTest : public ::testing::Test {
- protected:
-  /// `n` sites on a circle of radius 4 around a square obstacle whose
-  /// corners nearly touch the circle: sparse visibility windows, connected
-  /// ring of sites.
-  static OverlayGraph makeCircleOverlay(int n, TableMode table) {
-    std::vector<geom::Vec2> pts;
-    pts.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const double a = 2.0 * M_PI * i / n;
-      pts.push_back({4.0 * std::cos(a), 4.0 * std::sin(a)});
-    }
-    graph::GeometricGraph ldel(pts);
-    std::vector<graph::NodeId> ring(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) ring[static_cast<std::size_t>(i)] = i;
-    const double r = 4.0 * 0.9995;  // corner clearance 0.2% of the radius
-    std::vector<geom::Polygon> obstacles = {
-        geom::Polygon({{r, 0}, {0, r}, {-r, 0}, {0, -r}})};
-    return OverlayGraph(ldel, {ring}, std::move(obstacles), EdgeMode::Visibility, table);
-  }
-};
-
-TEST_F(HubLabelOverlayTest, DenseOverCapFallsBackLoudlyWithCounter) {
-  const auto prev = OverlayGraph::setTableLimitsForTest(48, 0);
-  const bool obsWas = obs::enabled();
-  obs::setEnabled(true);
-  auto& fallbacks = obs::Registry::global().counter("overlay.table.fallbacks");
-  const auto before = fallbacks.value();
-
-  {
-    // A Dense request above the cap resolves to hub labels, loudly.
-    const OverlayGraph over = makeCircleOverlay(96, TableMode::Dense);
-    EXPECT_TRUE(over.servesIncrementally());
-    EXPECT_TRUE(over.usesHubLabels());
-    EXPECT_EQ(over.tableMode(), TableMode::Dense);
-    EXPECT_EQ(fallbacks.value(), before + 1);
-    // The labels answer exactly as the rebuild ground truth.
-    const geom::Vec2 from{-5.0, 0.0};
-    const geom::Vec2 to{5.0, 0.0};
-    const auto route = over.waypointsWithDistance(from, to);
-    const auto ref = testkit::referenceOverlayQuery(over, from, to);
-    EXPECT_TRUE(route.reachable);
-    EXPECT_TRUE(ref.reachable);
-    EXPECT_NEAR(route.distance, ref.distance, 1e-9);
-  }
-  {
-    // The same size under HubLabels counts no fallback.
-    const OverlayGraph over = makeCircleOverlay(96, TableMode::HubLabels);
-    EXPECT_TRUE(over.servesIncrementally());
-    EXPECT_TRUE(over.usesHubLabels());
-    EXPECT_EQ(fallbacks.value(), before + 1);
-  }
-
-  obs::setEnabled(obsWas);
-  OverlayGraph::setTableLimitsForTest(prev.first, prev.second);
-}
-
-TEST_F(HubLabelOverlayTest, AutoSwitchesToLabelsAboveThreshold) {
-  const auto prev = OverlayGraph::setTableLimitsForTest(0, 64);
-  {
-    const OverlayGraph small = makeCircleOverlay(48, TableMode::Auto);
-    EXPECT_TRUE(small.servesIncrementally());
-    EXPECT_FALSE(small.usesHubLabels());
-    const OverlayGraph big = makeCircleOverlay(96, TableMode::Auto);
-    EXPECT_TRUE(big.servesIncrementally());
-    EXPECT_TRUE(big.usesHubLabels());
-    EXPECT_EQ(big.tableMode(), TableMode::Auto);
-    EXPECT_GT(big.hubLabels().numEntries(), 96u);
-  }
-  OverlayGraph::setTableLimitsForTest(prev.first, prev.second);
-}
-
-TEST(HubLabelsApi, TableModeNamesRoundTrip) {
-  for (const TableMode m : {TableMode::Dense, TableMode::HubLabels, TableMode::Auto}) {
-    const auto parsed = parseTableMode(tableModeName(m));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, m);
-  }
-  EXPECT_FALSE(parseTableMode("hash-table").has_value());
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <random>
 #include <vector>
 
 #include "core/hybrid_network.hpp"
+#include "graph/csr.hpp"
 #include "routing/overlay_graph.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/shapes.hpp"
@@ -94,7 +96,7 @@ TEST(OverlayParity, IncrementalEngineMatchesLegacyRebuild) {
               << "seed=" << pc.seed << " q=" << q;
           if (fresh.waypoints != ref.waypoints) {
             // Equal-length shortest paths may tie-break differently (the
-            // table groups FP additions differently than one sequential
+            // labels group FP additions differently than one sequential
             // Dijkstra); both must still realize the optimal distance.
             EXPECT_NEAR(polylineLength(net, a, b, fresh.waypoints), ref.distance, 1e-6)
                 << "seed=" << pc.seed << " q=" << q;
@@ -116,10 +118,10 @@ TEST(OverlayParity, IncrementalEngineMatchesLegacyRebuild) {
   EXPECT_GE(checked, 200);
 }
 
-/// The hub-label backend against the dense table: every precomputed site
-/// pair plus end-to-end queries, across the full parity-case matrix. Ties
-/// may pick different hubs than the dense argmin scan, so waypoint lists
-/// are compared by realized length.
+/// The overlay's hub labels against the dense reference table, across the
+/// full parity-case matrix: every site-pair distance, and every label path
+/// is a site-graph path realizing that distance. Ties may pick different
+/// paths than a Dijkstra tree, so paths are compared by length.
 TEST(OverlayParity, HubLabelBackendMatchesDense) {
   int checked = 0;
   for (const auto& pc : parityCases()) {
@@ -130,58 +132,48 @@ TEST(OverlayParity, HubLabelBackendMatchesDense) {
     const auto sc = scenario::makeScenario(p);
     const core::HybridNetwork net(sc.points);
     for (const SiteMode sm : {SiteMode::HullNodes, SiteMode::AllHoleNodes}) {
-      HybridOptions denseOpts{.sites = sm, .edges = EdgeMode::Visibility};
-      denseOpts.table = TableMode::Dense;
-      HybridOptions labelOpts{.sites = sm, .edges = EdgeMode::Visibility};
-      labelOpts.table = TableMode::HubLabels;
-      const auto denseRouter = net.makeRouter(denseOpts);
-      const auto labelRouter = net.makeRouter(labelOpts);
-      const OverlayGraph& dense = denseRouter->overlay();
-      const OverlayGraph& labels = labelRouter->overlay();
-      ASSERT_FALSE(dense.usesHubLabels());
-      ASSERT_TRUE(labels.usesHubLabels());
-      ASSERT_TRUE(labels.servesIncrementally());
+      const auto router = net.makeRouter({.sites = sm, .edges = EdgeMode::Visibility});
+      const OverlayGraph& overlay = router->overlay();
+      ASSERT_TRUE(overlay.servesIncrementally());
+      const auto& pos = overlay.sitePositions();
+      const auto& adj = overlay.siteAdjacency();
+      const testkit::SiteTable dense = testkit::referenceSiteTable(graph::buildCsr(adj, pos), 2);
 
-      const int h = static_cast<int>(dense.sites().size());
+      const int h = static_cast<int>(overlay.sites().size());
       ASSERT_GT(h, 0) << "seed=" << pc.seed;
+      std::vector<int> path;
       for (int i = 0; i < h; ++i) {
         for (int j = 0; j < h; ++j) {
-          const double d = dense.sitePairDistance(i, j);
-          const double l = labels.sitePairDistance(i, j);
+          const double d = dense.distance(i, j);
+          const double l = overlay.sitePairDistance(i, j);
+          ++checked;
+          path.clear();
+          const bool reached = overlay.hubLabels().path(i, j, path);
           if (std::isinf(d)) {
             EXPECT_TRUE(std::isinf(l)) << "seed=" << pc.seed << " pair " << i << "," << j;
-          } else {
-            EXPECT_NEAR(l, d, 1e-9 * std::max(1.0, d))
-                << "seed=" << pc.seed << " pair " << i << "," << j;
+            EXPECT_FALSE(reached) << "seed=" << pc.seed << " pair " << i << "," << j;
+            continue;
           }
-        }
-      }
-
-      std::mt19937 rng(pc.seed * 7919 + static_cast<unsigned>(sm));
-      std::uniform_real_distribution<double> d(0.5, 13.5);
-      std::uniform_int_distribution<int> pickSite(0, h - 1);
-      for (int q = 0; q < 12; ++q) {
-        geom::Vec2 a{d(rng), d(rng)};
-        geom::Vec2 b{d(rng), d(rng)};
-        if (q % 4 == 1) a = dense.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
-        if (q % 4 == 2) {
-          a = dense.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
-          b = dense.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
-        }
-        const auto ref = dense.waypointsWithDistance(a, b);
-        const auto fresh = labels.waypointsWithDistance(a, b);
-        ++checked;
-        ASSERT_EQ(fresh.reachable, ref.reachable) << "seed=" << pc.seed << " q=" << q;
-        if (!fresh.reachable) continue;
-        EXPECT_NEAR(fresh.distance, ref.distance, 1e-6) << "seed=" << pc.seed << " q=" << q;
-        if (fresh.waypoints != ref.waypoints) {
-          EXPECT_NEAR(polylineLength(net, a, b, fresh.waypoints), ref.distance, 1e-6)
-              << "seed=" << pc.seed << " q=" << q;
+          EXPECT_NEAR(l, d, 1e-9 * std::max(1.0, d))
+              << "seed=" << pc.seed << " pair " << i << "," << j;
+          ASSERT_TRUE(reached) << "seed=" << pc.seed << " pair " << i << "," << j;
+          ASSERT_EQ(path.front(), i);
+          ASSERT_EQ(path.back(), j);
+          double len = 0.0;
+          for (std::size_t k = 0; k + 1 < path.size(); ++k) {
+            const auto& nbs = adj[static_cast<std::size_t>(path[k])];
+            ASSERT_NE(std::find(nbs.begin(), nbs.end(), path[k + 1]), nbs.end())
+                << "seed=" << pc.seed << " pair " << i << "," << j;
+            len += geom::dist(pos[static_cast<std::size_t>(path[k])],
+                              pos[static_cast<std::size_t>(path[k + 1])]);
+          }
+          EXPECT_NEAR(len, d, 1e-9 * std::max(1.0, d))
+              << "seed=" << pc.seed << " pair " << i << "," << j;
         }
       }
     }
   }
-  EXPECT_GE(checked, 100);
+  EXPECT_GE(checked, 1000);
 }
 
 #if defined(__has_feature)
@@ -193,19 +185,15 @@ TEST(OverlayParity, HubLabelBackendMatchesDense) {
 #define HYBRID_PARITY_SANITIZED 1
 #endif
 
-/// The old serving engine refused overlays above kMaxTableSites (4096) and
-/// silently fell back to a per-query rebuild. With hub labels the ceiling
-/// is gone: a ring of sites above the cap serves incrementally and matches
-/// the rebuild ground truth. Release builds cross the historical 4096
-/// boundary for real; Debug/sanitizer builds lower the caps instead so the
-/// same code path runs within their runtime budget.
+/// Hub labels have no site ceiling: a ring of sites above the old dense
+/// cap of 4096 serves incrementally and matches the rebuild ground truth.
+/// Release builds cross the 4096 boundary for real; Debug/sanitizer builds
+/// run a smaller ring within their runtime budget.
 TEST(OverlayParity, SitesAboveDenseCapServeIncrementallyViaLabels) {
 #if defined(NDEBUG) && !defined(HYBRID_PARITY_SANITIZED)
   const int n = 4288;  // genuinely above the historical dense ceiling
-  const auto prevLimits = OverlayGraph::setTableLimitsForTest(0, 0);
 #else
   const int n = 576;
-  const auto prevLimits = OverlayGraph::setTableLimitsForTest(512, 256);
 #endif
   // Sites on a circle around a square obstacle whose corners nearly touch
   // it: visibility windows stay local, so construction and queries remain
@@ -221,11 +209,10 @@ TEST(OverlayParity, SitesAboveDenseCapServeIncrementallyViaLabels) {
   for (int i = 0; i < n; ++i) ring[static_cast<std::size_t>(i)] = i;
   const double r = 4.0 * 0.9995;
   std::vector<geom::Polygon> obstacles = {geom::Polygon({{r, 0}, {0, r}, {-r, 0}, {0, -r}})};
-  const OverlayGraph overlay(ldel, {ring}, obstacles, EdgeMode::Visibility, TableMode::Auto);
+  const OverlayGraph overlay(ldel, {ring}, obstacles, EdgeMode::Visibility);
 
   ASSERT_EQ(overlay.sites().size(), static_cast<std::size_t>(n));
   EXPECT_TRUE(overlay.servesIncrementally());
-  EXPECT_TRUE(overlay.usesHubLabels());
   // The label slab must undercut the dense footprint it replaced
   // (h^2 doubles + h^2 int32 predecessors).
   EXPECT_LT(overlay.hubLabels().labelBytes(),
@@ -247,7 +234,6 @@ TEST(OverlayParity, SitesAboveDenseCapServeIncrementallyViaLabels) {
     if (!fresh.reachable) continue;
     EXPECT_NEAR(fresh.distance, ref.distance, 1e-6) << "q=" << q;
   }
-  OverlayGraph::setTableLimitsForTest(prevLimits.first, prevLimits.second);
 }
 
 /// Regression for the grazing-segment class: queries whose endpoint-site

@@ -179,7 +179,7 @@ const std::vector<Entry> kRecorded = {
     {"spiral/2", {0x5c967418a9f2c44aULL, 0xc3f8fc0a0492bd24ULL, 0x2c318061275625f1ULL, 0x2963c1060eb384aeULL, 0x220639b93728f24aULL}},
     {"spiral/3", {0x3320b1657910fa87ULL, 0xc9e7fd2854e7566dULL, 0x1820214284b9c5d5ULL, 0xf78657c13da49b55ULL, 0xebe052015be3c159ULL}},
     {"collinear/1", {0x730101cfd0a69dfdULL, 0x7504f8c352f524acULL, 0x60fd232deb419d04ULL, 0x5887dcfbca03c842ULL, 0xffe393f0c0d238e5ULL}},
-    {"collinear/2", {0x43704fea3703fd6aULL, 0xc13640458d5c7061ULL, 0x2a2eec03b2a9b5c4ULL, 0x127984627d96068cULL, 0x480fe050631373e5ULL}},
+    {"collinear/2", {0x43704fea3703fd6aULL, 0xc13640458d5c7061ULL, 0x2a2eec03b2a9b5c4ULL, 0x59a73f3280b1df79ULL, 0xe4274f08788948e5ULL}},
     {"collinear/3", {0x190de21afe1f794bULL, 0xbdd476a6a76a9a6cULL, 0x5968de758f10984aULL, 0xc4b208928af0d819ULL, 0xa4e3f079d1cc5a25ULL}},
     {"cocircular/1", {0x5d91d1f24cac9a30ULL, 0xeca2cf3cc59d12e9ULL, 0x099e7b96448121fbULL, 0x2a50114d357f3ccaULL, 0x971f9fc0cae9bf05ULL}},
     {"cocircular/2", {0xd6501e4fddc278eeULL, 0xdc0c7449938ce586ULL, 0x982a13fb3a01a141ULL, 0x701fde227e806896ULL, 0x8dcf2be72a42fd65ULL}},
