@@ -131,6 +131,7 @@ Digests digestOf(const scenario::Scenario& sc) {
       d.add(r.fallbacks);
       d.add(r.blockedHole);
       d.add(r.protocolCase);
+      d.add(r.bayExtremePoints);
     }
   };
   Digest routes;
@@ -169,34 +170,34 @@ struct Entry {
 
 // clang-format off
 const std::vector<Entry> kRecorded = {
-    {"random_udg/1", {0x5cff717f357247a2ULL, 0x89d7df1e7c814521ULL, 0xe8bb01c09be0da79ULL, 0xd26e548ef65a28daULL, 0x6754a4b048b26d8dULL}},
-    {"random_udg/2", {0x088191f9408e9f4fULL, 0x7a292c3d94e8918aULL, 0xc174ec4d4f2182d9ULL, 0x6442efac5b8c7d94ULL, 0xc16c810148a836ddULL}},
-    {"random_udg/3", {0xacca8978c0133ef2ULL, 0xcab1d611d94ff98fULL, 0x38b8a7c5981d5c7fULL, 0x418e119e1860c0daULL, 0x4101cc7bfc1f88a5ULL}},
-    {"maze_comb/1", {0xd7399347662c9f90ULL, 0x0053f7231333624aULL, 0xd9e16e6c8422ef6cULL, 0x195ee97e10dc68adULL, 0x42454421885b2ff1ULL}},
-    {"maze_comb/2", {0x1ebb1fc13f50581aULL, 0x2b547d744caf7334ULL, 0xfbec6deb81395795ULL, 0xa504586c1a933182ULL, 0x8a30732746d6824dULL}},
-    {"maze_comb/3", {0xe88c39d935e09491ULL, 0x26c09b75158ec1c7ULL, 0xf39bfde74bf1f812ULL, 0x521acc43a5b607e7ULL, 0x5f74d57bd08a6cb5ULL}},
-    {"spiral/1", {0x6a790b7f1411855cULL, 0x42bcf88c7ff49950ULL, 0x0e7c157e873ce80aULL, 0x5abcb21be9b77d39ULL, 0x9faed3fb833538f5ULL}},
-    {"spiral/2", {0x5c967418a9f2c44aULL, 0xc3f8fc0a0492bd24ULL, 0x2c318061275625f1ULL, 0x2963c1060eb384aeULL, 0x220639b93728f24aULL}},
-    {"spiral/3", {0x3320b1657910fa87ULL, 0xc9e7fd2854e7566dULL, 0x1820214284b9c5d5ULL, 0xf78657c13da49b55ULL, 0xebe052015be3c159ULL}},
-    {"collinear/1", {0x730101cfd0a69dfdULL, 0x7504f8c352f524acULL, 0x60fd232deb419d04ULL, 0x5887dcfbca03c842ULL, 0xffe393f0c0d238e5ULL}},
-    {"collinear/2", {0x43704fea3703fd6aULL, 0xc13640458d5c7061ULL, 0x2a2eec03b2a9b5c4ULL, 0x59a73f3280b1df79ULL, 0xe4274f08788948e5ULL}},
-    {"collinear/3", {0x190de21afe1f794bULL, 0xbdd476a6a76a9a6cULL, 0x5968de758f10984aULL, 0xc4b208928af0d819ULL, 0xa4e3f079d1cc5a25ULL}},
-    {"cocircular/1", {0x5d91d1f24cac9a30ULL, 0xeca2cf3cc59d12e9ULL, 0x099e7b96448121fbULL, 0x2a50114d357f3ccaULL, 0x971f9fc0cae9bf05ULL}},
-    {"cocircular/2", {0xd6501e4fddc278eeULL, 0xdc0c7449938ce586ULL, 0x982a13fb3a01a141ULL, 0x701fde227e806896ULL, 0x8dcf2be72a42fd65ULL}},
-    {"cocircular/3", {0x2b27d909374508b0ULL, 0x0806820be9e8abc1ULL, 0xbc484e7e564fc4ecULL, 0x9edb988989b42e5dULL, 0x9d8d5bab61882425ULL}},
-    {"hull_tangent/1", {0x15ea5f9a93035518ULL, 0xd2fb4a8e4a6c08ceULL, 0xe068d8507beffe3dULL, 0x6fe2c5ac5c85e24bULL, 0x19d46846d2b9ec35ULL}},
-    {"hull_tangent/2", {0x6e6ddb7564b60433ULL, 0x82392031ff9663a4ULL, 0x54739578b631365bULL, 0xa98e78c3b206a499ULL, 0xae28877b84b8cd45ULL}},
-    {"hull_tangent/3", {0xa8a248b09f8e0ce3ULL, 0x6bb40dec2be5a1c5ULL, 0xc29d77ca16fb7d35ULL, 0xbb64792e92b0fc4eULL, 0x45cc985960a2c4fdULL}},
-    {"hull_intersect/1", {0x4381653a028dd6b2ULL, 0x4928ad73351328d3ULL, 0x081e71d5000116c6ULL, 0x881f2dc3aad3c50bULL, 0xcf011f359b2f4ca4ULL}},
-    {"hull_intersect/2", {0xc85084fa5a397da0ULL, 0x734c2972c32e2c9cULL, 0x3756f0d365647a5aULL, 0x3d2cdd61994a3b06ULL, 0x5d917fc0e93e1705ULL}},
-    {"hull_intersect/3", {0xc4c26f492ef96488ULL, 0x66497f3d2583b966ULL, 0x41d9f067e00756d7ULL, 0xbb3cb5d9182e6830ULL, 0x0a94776f8260aac1ULL}},
-    {"hull_chain/1", {0x4fa4b0b06d99de81ULL, 0xc05bc10b4dd1ff7bULL, 0x3eb346a100e45e5fULL, 0xa5a395314dd6a317ULL, 0xbffe5e1f636d36b5ULL}},
-    {"hull_chain/2", {0xca76415abbceea3dULL, 0x9b7535dd7f0a7059ULL, 0xce9861c1d8d41f6aULL, 0xa17cff6f0ab4048dULL, 0x4fa3d557f1864b65ULL}},
-    {"hull_chain/3", {0x1e429f9be2460130ULL, 0xdb722e80ba2209fcULL, 0x5f6eac0c7fec4864ULL, 0xfed3805048b1247bULL, 0xd8edac80999880f1ULL}},
-    {"hull_nest/1", {0x7f55161a878775faULL, 0x2effbede4a8c1165ULL, 0xfefdbf7eb09ec3cbULL, 0x1c9309d917c14afcULL, 0x25e45a70090cb1e1ULL}},
-    {"hull_nest/2", {0x4550eda1fb312f5fULL, 0x2780a992aca58f01ULL, 0xd2390c67bfab9ca2ULL, 0x2204e7c47b98ba91ULL, 0x55f53d282872da55ULL}},
-    {"hull_nest/3", {0x654e0a612c94082eULL, 0x6f9dd4a7234e0837ULL, 0x09e472275caf8cd3ULL, 0x098d2fc51511ead1ULL, 0x0a7154e9ac515275ULL}},
-    {"convex_holes_700/1", {0xaea9786e3b1dd6d8ULL, 0x3fa974d71f2df734ULL, 0x8a67f65ecadd73e8ULL, 0xa67a8fab706d210cULL, 0x8a0dc06bdbe494b4ULL}},
+    {"random_udg/1", {0x5cff717f357247a2ULL, 0x89d7df1e7c814521ULL, 0xe8bb01c09be0da79ULL, 0xe8dd3215932c88faULL, 0xb99eacfb2b5a4e4dULL}},
+    {"random_udg/2", {0x088191f9408e9f4fULL, 0x7a292c3d94e8918aULL, 0xc174ec4d4f2182d9ULL, 0xad0e2a8c9f703f94ULL, 0x66f03ae36bf3c3ddULL}},
+    {"random_udg/3", {0xacca8978c0133ef2ULL, 0xcab1d611d94ff98fULL, 0x38b8a7c5981d5c7fULL, 0x48628aa902459b1aULL, 0xd119c73b189302e5ULL}},
+    {"maze_comb/1", {0xd7399347662c9f90ULL, 0x0053f7231333624aULL, 0xd9e16e6c8422ef6cULL, 0x213c2b09f84eeeadULL, 0xb8ca720ce34a46e9ULL}},
+    {"maze_comb/2", {0x1ebb1fc13f50581aULL, 0x2b547d744caf7334ULL, 0xfbec6deb81395795ULL, 0x2595488a69f32fbeULL, 0x20e3779c24060dadULL}},
+    {"maze_comb/3", {0xe88c39d935e09491ULL, 0x26c09b75158ec1c7ULL, 0xf39bfde74bf1f812ULL, 0x578fc9cd962e8f47ULL, 0x36044aa9d2cb8285ULL}},
+    {"spiral/1", {0x6a790b7f1411855cULL, 0x42bcf88c7ff49950ULL, 0x0e7c157e873ce80aULL, 0xc95cc60bb1a86ca1ULL, 0xe21cfd75106f86b5ULL}},
+    {"spiral/2", {0x5c967418a9f2c44aULL, 0xc3f8fc0a0492bd24ULL, 0x2c318061275625f1ULL, 0xb0e9a45881354382ULL, 0x9ad9ed2006e6604aULL}},
+    {"spiral/3", {0x3320b1657910fa87ULL, 0xc9e7fd2854e7566dULL, 0x1820214284b9c5d5ULL, 0x87483f6887e221adULL, 0x9f10b82fa1f36b19ULL}},
+    {"collinear/1", {0x730101cfd0a69dfdULL, 0x7504f8c352f524acULL, 0x60fd232deb419d04ULL, 0xa9d0977a2c178a82ULL, 0xe265faecaa4820e5ULL}},
+    {"collinear/2", {0x43704fea3703fd6aULL, 0xc13640458d5c7061ULL, 0x2a2eec03b2a9b5c4ULL, 0x7a10280c3d9271f9ULL, 0x33eaa5da94ac94e5ULL}},
+    {"collinear/3", {0x190de21afe1f794bULL, 0xbdd476a6a76a9a6cULL, 0x5968de758f10984aULL, 0x79b007936af619b9ULL, 0x4bb4a0ec09a78925ULL}},
+    {"cocircular/1", {0x5d91d1f24cac9a30ULL, 0xeca2cf3cc59d12e9ULL, 0x099e7b96448121fbULL, 0x9249c701b6b12e0aULL, 0x4799c6a854445345ULL}},
+    {"cocircular/2", {0xd6501e4fddc278eeULL, 0xdc0c7449938ce586ULL, 0x982a13fb3a01a141ULL, 0x18255d3d916b6b96ULL, 0x90fef087f0f1aee5ULL}},
+    {"cocircular/3", {0x2b27d909374508b0ULL, 0x0806820be9e8abc1ULL, 0xbc484e7e564fc4ecULL, 0x260b8bf5d1cf925dULL, 0xcefa26b958a03ea5ULL}},
+    {"hull_tangent/1", {0x15ea5f9a93035518ULL, 0xd2fb4a8e4a6c08ceULL, 0xe068d8507beffe3dULL, 0x7dd9581458f1ae7bULL, 0x4f75b269665eeee5ULL}},
+    {"hull_tangent/2", {0x6e6ddb7564b60433ULL, 0x82392031ff9663a4ULL, 0x54739578b631365bULL, 0x0266856f21bb6771ULL, 0xcef51c2af35c03e5ULL}},
+    {"hull_tangent/3", {0xa8a248b09f8e0ce3ULL, 0x6bb40dec2be5a1c5ULL, 0xc29d77ca16fb7d35ULL, 0xbf16489ca2039862ULL, 0x532ac848f3ddde1dULL}},
+    {"hull_intersect/1", {0x4381653a028dd6b2ULL, 0x4928ad73351328d3ULL, 0x081e71d5000116c6ULL, 0xc99004dfd95d370fULL, 0x76ba21f5ba516438ULL}},
+    {"hull_intersect/2", {0xc85084fa5a397da0ULL, 0x734c2972c32e2c9cULL, 0x3756f0d365647a5aULL, 0xbbc02589e5e849d2ULL, 0x79cdee2ff9e83365ULL}},
+    {"hull_intersect/3", {0xc4c26f492ef96488ULL, 0x66497f3d2583b966ULL, 0x41d9f067e00756d7ULL, 0x6f6b850a25971770ULL, 0x716e361fd2bd8cc1ULL}},
+    {"hull_chain/1", {0x4fa4b0b06d99de81ULL, 0xc05bc10b4dd1ff7bULL, 0x3eb346a100e45e5fULL, 0x359d00f91461dd2bULL, 0x966771f48bd18d25ULL}},
+    {"hull_chain/2", {0xca76415abbceea3dULL, 0x9b7535dd7f0a7059ULL, 0xce9861c1d8d41f6aULL, 0x974e0f9124474701ULL, 0x008357c2a2c17695ULL}},
+    {"hull_chain/3", {0x1e429f9be2460130ULL, 0xdb722e80ba2209fcULL, 0x5f6eac0c7fec4864ULL, 0xd325493ca577e077ULL, 0x3fc95d1a0c9cbec9ULL}},
+    {"hull_nest/1", {0x7f55161a878775faULL, 0x2effbede4a8c1165ULL, 0xfefdbf7eb09ec3cbULL, 0x28de0a87f6099e98ULL, 0x96d692daf62fe281ULL}},
+    {"hull_nest/2", {0x4550eda1fb312f5fULL, 0x2780a992aca58f01ULL, 0xd2390c67bfab9ca2ULL, 0xc1d4f9ea9ec35bbdULL, 0xc83c488f1a4f0cadULL}},
+    {"hull_nest/3", {0x654e0a612c94082eULL, 0x6f9dd4a7234e0837ULL, 0x09e472275caf8cd3ULL, 0x1f26d1508b99530dULL, 0x434403c1483218a5ULL}},
+    {"convex_holes_700/1", {0xaea9786e3b1dd6d8ULL, 0x3fa974d71f2df734ULL, 0x8a67f65ecadd73e8ULL, 0x4ff5d57bff5cd26cULL, 0xf4ab015b0481f594ULL}},
 };
 // clang-format on
 
