@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/hybrid_network.hpp"
+#include "delaunay/triangulation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "scenario/generator.hpp"
@@ -187,6 +188,28 @@ inline scenario::Scenario convexHolesScenario(std::size_t n, unsigned seed) {
   p.obstacles.push_back(scenario::regularPolygonObstacle(
       {0.25 * side, 0.72 * side}, 0.10 * side, 8));
   return scenario::makeScenario(p);
+}
+
+/// Edge count of an overlay's site graph. A visibility overlay keeps that
+/// graph (siteAdjacency()). A Delaunay overlay does not, because each query
+/// triangulates the sites together with s and t, so its count is computed
+/// here: the Delaunay triangulation of sitePositions() without the edges
+/// that visibility() blocks.
+inline std::size_t siteGraphEdges(const routing::OverlayGraph& overlay) {
+  std::size_t edges = 0;
+  if (overlay.edgeMode() == routing::EdgeMode::Visibility) {
+    for (const auto& nbs : overlay.siteAdjacency()) edges += nbs.size();
+    return edges / 2;
+  }
+  const auto& pos = overlay.sitePositions();
+  if (pos.size() < 3) return 0;
+  for (const auto& [u, v] : delaunay::DelaunayTriangulation(pos).edges()) {
+    if (overlay.visibility().visible(pos[static_cast<std::size_t>(u)],
+                                     pos[static_cast<std::size_t>(v)])) {
+      ++edges;
+    }
+  }
+  return edges;
 }
 
 inline void printRule(int width = 110) {

@@ -83,8 +83,8 @@ int main() {
       }
     }
     std::printf("%6s overlay edges: visibility=%zu delaunay=%zu (sites hull=%zu bnd=%zu)\n",
-                "", hullVis->overlay().numPrecomputedEdges(),
-                hullDel->overlay().numPrecomputedEdges(),
+                "", bench::siteGraphEdges(hullVis->overlay()),
+                bench::siteGraphEdges(hullDel->overlay()),
                 hullDel->overlay().sites().size(), bndDel->overlay().sites().size());
     bench::printRule();
   }

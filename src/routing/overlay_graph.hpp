@@ -99,11 +99,11 @@ class alignas(64) OverlayQueryWorkspace {
 /// pairs with one hub-bucket scan — no graph rebuild, no per-query
 /// Dijkstra, no allocation. The labels have no site ceiling; the dense
 /// h x h table the label checks compare against is
-/// testkit::referenceSiteTable. Delaunay mode
-/// genuinely re-triangulates per query (inserting s and t changes the edge
-/// set), so it keeps the rebuild path; both modes answer waypoints and
-/// distance from one solve. All query methods are const and safe to call
-/// concurrently.
+/// testkit::referenceSiteTable. A Delaunay overlay keeps only its sites,
+/// backbone and obstacles: each query triangulates the sites together with
+/// s and t (inserting them changes the edge set), so a site graph of its
+/// own would go unread. Both modes answer waypoints and distance from one
+/// solve. All query methods are const and safe to call concurrently.
 class OverlayGraph {
  public:
   /// `siteRings` lists the abstraction node rings (hull, locally convex
@@ -129,7 +129,6 @@ class OverlayGraph {
   OverlayRoute waypointsWithDistance(geom::Vec2 from, geom::Vec2 to) const;
 
   const std::vector<graph::NodeId>& sites() const { return sites_; }
-  std::size_t numPrecomputedEdges() const { return precomputedEdges_; }
   const geom::VisibilityContext& visibility() const { return vis_; }
 
   // --- Introspection for parity tests and old-path bench replicas. ---
@@ -163,15 +162,14 @@ class OverlayGraph {
   std::vector<geom::Vec2> sitePos_;
   geom::VisibilityContext vis_;
   EdgeMode edgeMode_;
-  /// Site-to-site adjacency (visibility mode precomputes it; Delaunay mode
-  /// re-triangulates per query because inserting s and t changes edges).
+  /// Site-to-site adjacency of a visibility overlay; h empty lists for a
+  /// Delaunay overlay, whose queries triangulate the sites with s and t.
   std::vector<std::vector<int>> siteAdj_;
   /// Ring/hull consecutive edges that are always present.
   std::vector<std::pair<int, int>> backboneEdges_;
   /// Backbone edges are ring arcs of a sparse site subset (bbox mode):
   /// include them in the site graph even when the chord is hole-blocked.
   bool ringBackbone_ = false;
-  std::size_t precomputedEdges_ = 0;
 
   // Serving engine state (visibility mode).
   graph::CsrAdjacency siteCsr_;  ///< Flat site graph (visibility edges).
