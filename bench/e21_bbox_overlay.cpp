@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "abstraction/bbox_overlay.hpp"
-#include "abstraction/hull_groups.hpp"
 #include "bench_util.hpp"
 #include "routing/hybrid_router.hpp"
 #include "scenario/shapes.hpp"
@@ -173,16 +172,13 @@ int main(int argc, char** argv) {
       } else {
         // Even the city-block layout usually has a pair of *touching*
         // incidental hulls somewhere, so drive the Auto acceptance from
-        // ground truth: Auto must agree with hull_groups, and whenever it
-        // resolves to hulls it must route identically to the explicit mode.
-        const auto hullGroups =
-            abstraction::mergeIntersectingHulls(g, net.abstractions());
-        const bool expectBBox =
-            std::any_of(hullGroups.begin(), hullGroups.end(),
-                        [](const auto& hg) { return hg.members.size() > 1; });
+        // ground truth: Auto must agree with the pairwise hull scan, and
+        // whenever it resolves to hulls it must route identically to the
+        // explicit mode.
+        const bool expectBBox = abstraction::anyHullsIntersect(net.abstractions());
         if (autoRouter->usesBBox() != expectBBox) {
           std::fprintf(stderr, "e21_bbox_overlay: Auto resolution disagrees with "
-                               "hull_groups on the disjoint corpus (n=%zu)\n", n);
+                               "the pairwise hull scan on the disjoint corpus (n=%zu)\n", n);
           return 3;
         }
         if (!expectBBox) {

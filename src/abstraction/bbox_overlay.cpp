@@ -1,36 +1,13 @@
 #include "abstraction/bbox_overlay.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <limits>
 
 #include "geom/vec2.hpp"
+#include "graph/dsu.hpp"
 
 namespace hybrid::abstraction {
 namespace {
-
-/// Union-find over abstraction indices, used to merge intersecting boxes.
-struct Dsu {
-  std::vector<int> parent;
-  explicit Dsu(int n) : parent(static_cast<std::size_t>(n)) {
-    std::iota(parent.begin(), parent.end(), 0);
-  }
-  int find(int x) {
-    while (parent[static_cast<std::size_t>(x)] != x) {
-      parent[static_cast<std::size_t>(x)] =
-          parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
-      x = parent[static_cast<std::size_t>(x)];
-    }
-    return x;
-  }
-  bool unite(int a, int b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return false;
-    if (b < a) std::swap(a, b);  // Deterministic: smaller index wins as root.
-    parent[static_cast<std::size_t>(b)] = a;
-    return true;
-  }
-};
 
 /// Ring node nearest (squared Euclidean) to a target point; ties break on
 /// the smaller ring index so the selection is deterministic.
@@ -100,7 +77,7 @@ std::vector<BBoxGroup> buildBBoxOverlay(const graph::GeometricGraph& ldel,
 
   // Merge intersecting boxes to a fixpoint: a union box can grow into a
   // box it did not previously touch, so repeat until no pass merges.
-  Dsu dsu(n);
+  graph::DisjointSetUnion dsu(static_cast<std::size_t>(n));
   std::vector<geom::BBox> groupBox = boxes;
   bool merged = true;
   while (merged) {
@@ -124,7 +101,8 @@ std::vector<BBoxGroup> buildBBoxOverlay(const graph::GeometricGraph& ldel,
     }
   }
 
-  // Assemble groups ordered by smallest member index.
+  // Assemble groups ordered by smallest member index, so which member the
+  // union-find makes the root never reaches the output.
   std::vector<BBoxGroup> groups;
   std::vector<int> groupOf(static_cast<std::size_t>(n), -1);
   for (int i = 0; i < n; ++i) {

@@ -7,6 +7,18 @@
 
 namespace hybrid::abstraction {
 
+bool anyHullsIntersect(const std::vector<HoleAbstraction>& abstractions) {
+  for (std::size_t i = 0; i < abstractions.size(); ++i) {
+    for (std::size_t j = i + 1; j < abstractions.size(); ++j) {
+      if (geom::convexPolygonsIntersect(abstractions[i].hullPolygon,
+                                        abstractions[j].hullPolygon)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 std::vector<graph::NodeId> locallyConvexHullOfRing(const graph::GeometricGraph& g,
                                                    std::vector<graph::NodeId> ring,
                                                    double radius) {

@@ -35,6 +35,11 @@ std::vector<HoleAbstraction> buildAbstractions(const graph::GeometricGraph& ldel
                                                const holes::HoleAnalysis& analysis,
                                                double radius = 1.0);
 
+/// True when the convex hulls of some two holes intersect under
+/// geom::convexPolygonsIntersect (touching counts). The router's Auto
+/// abstraction switches to bounding boxes exactly then.
+bool anyHullsIntersect(const std::vector<HoleAbstraction>& abstractions);
+
 /// Computes the locally convex hull of a ring (ccw around the hole):
 /// repeatedly drops a vertex v with reflex interior angle (turn to the
 /// right) whose shortcut ||uw|| <= radius, until a fixpoint.

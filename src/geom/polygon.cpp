@@ -199,6 +199,23 @@ std::vector<int> monotoneChain(const std::vector<Vec2>& points, bool keepColline
 
 }  // namespace
 
+bool convexPolygonsIntersect(const Polygon& a, const Polygon& b) {
+  if (a.size() < 3 || b.size() < 3) return false;
+  if (!a.boundingBox().intersects(b.boundingBox())) return false;
+  for (const Vec2 p : b.vertices()) {
+    if (a.contains(p)) return true;
+  }
+  for (const Vec2 p : a.vertices()) {
+    if (b.contains(p)) return true;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      if (segmentsIntersect(a.edge(i), b.edge(j))) return true;
+    }
+  }
+  return false;
+}
+
 std::vector<int> convexHullIndices(const std::vector<Vec2>& points) {
   return monotoneChain(points, false);
 }

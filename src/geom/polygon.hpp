@@ -50,6 +50,11 @@ class Polygon {
   std::vector<Vec2> verts_;
 };
 
+/// True if two convex polygons intersect: they share area, their boundaries
+/// touch or cross, or one contains the other. False when either has fewer
+/// than three vertices.
+bool convexPolygonsIntersect(const Polygon& a, const Polygon& b);
+
 /// True if p is strictly inside the closed ring `verts` (crossing number);
 /// points on the boundary are outside. Polygon::containsStrict without the
 /// copy into a Polygon.

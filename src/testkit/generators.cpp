@@ -175,9 +175,9 @@ Scenario genHullChain(std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   ScenarioParams p = baseParams(rng, 17.0);
   // A comb with a hanging block inside every gap: each block's hole hull
-  // lies inside the comb hole's hull, so hull_groups merges the whole
-  // chain into one group snaking across the field — k interlocked holes
-  // rather than hull_intersect's single pair.
+  // lies inside the comb hole's hull, so the comb's hull intersects every
+  // block's — k interlocked holes across the field rather than
+  // hull_intersect's single pair.
   const int teeth = uniformInt(rng, 3, 4);
   const double toothWidth = uniform(rng, 1.0, 1.4);
   const double gapWidth = uniform(rng, 2.8, 3.4);

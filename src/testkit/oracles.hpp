@@ -107,8 +107,9 @@ struct Oracle {
 ///                       radius, connectivity, Euler's formula on the
 ///                       hull-augmented faces, 1.998-spanner samples vs
 ///                       graph::dijkstra
-///  - hull_invariants:   hull convexity/containment, hull_groups agreement
-///                       with pairwise disjointness detection
+///  - hull_invariants:   hull convexity and ring containment; an
+///                       intersection that convexHullsDisjoint() reports
+///                       has a witness pair under convexPolygonsIntersect
 ///  - overlay_parity:    incremental/current overlay query vs brute-force
 ///                       rebuild + graph::dijkstra ground truth
 ///  - route_batch_parity: routeBatch at k threads vs the serial loop

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "abstraction/bbox_overlay.hpp"
-#include "abstraction/hull_groups.hpp"
 #include "core/hybrid_network.hpp"
 #include "testkit/corpus.hpp"
 #include "testkit/generators.hpp"
@@ -110,16 +109,14 @@ TEST(BBoxOverlay, BuildInvariantsAndDeterminism) {
 }
 
 TEST(BBoxOverlay, AutoEngagesBBoxExactlyWhenHullsIntersect) {
-  // The switchover keys off hull_groups (transitive hull intersection,
-  // tangency included), not the strict-containment disjointness predicate.
+  // The switchover keys off the pairwise hull scan (tangency included),
+  // not the strict-containment disjointness predicate.
   for (const char* gen : {"hull_intersect", "hull_chain", "hull_nest"}) {
     SCOPED_TRACE(gen);
     const auto sc = makeScenario(gen, 4);
     core::HybridNetwork net(sc.points, sc.radius);
-    const auto groups = abstraction::mergeIntersectingHulls(net.ldel(), net.abstractions());
-    const bool intersecting = std::any_of(groups.begin(), groups.end(),
-                                          [](const auto& g) { return g.members.size() > 1; });
-    ASSERT_TRUE(intersecting) << gen << " generator no longer interlocks hulls";
+    ASSERT_TRUE(abstraction::anyHullsIntersect(net.abstractions()))
+        << gen << " generator no longer interlocks hulls";
     const auto router = net.makeRouter(
         bboxOptions(routing::EdgeMode::Visibility, routing::AbstractionMode::Auto));
     EXPECT_TRUE(router->usesBBox());
@@ -133,11 +130,8 @@ TEST(BBoxOverlay, AutoMatchesHullsRouteForRouteOnDisjointScenarios) {
     const auto sc = makeScenario("cocircular", seed);
     CaseContext ctx(sc, seed);
     const auto& net = ctx.net();
-    const auto groups =
-        abstraction::mergeIntersectingHulls(net.ldel(), net.abstractions());
-    const bool intersecting = std::any_of(groups.begin(), groups.end(),
-                                          [](const auto& g) { return g.members.size() > 1; });
-    if (intersecting) continue;  // Auto would (correctly) pick bbox here
+    // Auto would (correctly) pick bbox here.
+    if (abstraction::anyHullsIntersect(net.abstractions())) continue;
     for (const routing::EdgeMode em :
          {routing::EdgeMode::Visibility, routing::EdgeMode::Delaunay}) {
       const auto hulls = net.makeRouter(bboxOptions(em, routing::AbstractionMode::Hulls));

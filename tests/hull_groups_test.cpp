@@ -2,7 +2,6 @@
 
 #include <random>
 
-#include "abstraction/hull_groups.hpp"
 #include "core/hybrid_network.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/shapes.hpp"
@@ -13,7 +12,7 @@ namespace hybrid {
 namespace {
 
 TEST(HullGroups, PolygonIntersectionPredicate) {
-  using abstraction::convexPolygonsIntersect;
+  using geom::convexPolygonsIntersect;
   const geom::Polygon a({{0, 0}, {2, 0}, {2, 2}, {0, 2}});
   const geom::Polygon b({{1, 1}, {3, 1}, {3, 3}, {1, 3}});   // overlaps a
   const geom::Polygon c({{5, 5}, {6, 5}, {6, 6}, {5, 6}});   // disjoint
@@ -35,91 +34,6 @@ scenario::Scenario interlockedScenario(unsigned seed = 51) {
   return scenario::makeScenario(p);
 }
 
-TEST(HullGroups, DetectsIntersectionAndMerges) {
-  const auto sc = interlockedScenario();
-  core::HybridNetwork net(sc.points);
-  ASSERT_FALSE(net.convexHullsDisjoint());
-
-  const auto groups =
-      abstraction::mergeIntersectingHulls(net.ldel(), net.abstractions());
-  ASSERT_FALSE(groups.empty());
-  EXPECT_LT(groups.size(), net.abstractions().size());
-  // Some group contains at least two member holes.
-  std::size_t largest = 0;
-  const abstraction::HullGroup* merged = nullptr;
-  for (const auto& g : groups) {
-    if (g.members.size() > largest) {
-      largest = g.members.size();
-      merged = &g;
-    }
-  }
-  ASSERT_GE(largest, 2u);
-  ASSERT_NE(merged, nullptr);
-  EXPECT_TRUE(merged->hullPolygon.isConvex());
-  // The merged hull contains every member hull.
-  for (int m : merged->members) {
-    for (const geom::Vec2 v :
-         net.abstractions()[static_cast<std::size_t>(m)].hullPolygon.vertices()) {
-      EXPECT_TRUE(merged->hullPolygon.contains(v));
-    }
-  }
-}
-
-TEST(HullGroups, GroupsPartitionTheAbstractions) {
-  const auto sc = interlockedScenario();
-  core::HybridNetwork net(sc.points);
-  const auto groups =
-      abstraction::mergeIntersectingHulls(net.ldel(), net.abstractions());
-  std::vector<char> seen(net.abstractions().size(), 0);
-  for (const auto& g : groups) {
-    for (int m : g.members) {
-      EXPECT_FALSE(seen[static_cast<std::size_t>(m)]);
-      seen[static_cast<std::size_t>(m)] = 1;
-    }
-  }
-  for (char c : seen) EXPECT_TRUE(c);
-}
-
-TEST(HullGroups, SeparatedHolesLandInDifferentGroups) {
-  scenario::ScenarioParams p;
-  p.width = p.height = 22.0;
-  p.seed = 53;
-  p.obstacles.push_back(scenario::regularPolygonObstacle({6.0, 6.0}, 2.0, 6));
-  p.obstacles.push_back(scenario::regularPolygonObstacle({16.0, 16.0}, 2.0, 7));
-  const auto sc = scenario::makeScenario(p);
-  core::HybridNetwork net(sc.points);
-  const auto groups =
-      abstraction::mergeIntersectingHulls(net.ldel(), net.abstractions());
-  // The two far-apart building holes are in different groups.
-  int groupOfA = -1;
-  int groupOfB = -1;
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    for (int m : groups[gi].members) {
-      const auto& hull = net.abstractions()[static_cast<std::size_t>(m)].hullPolygon;
-      if (hull.size() < 3) continue;
-      if (hull.contains({6.0, 6.0})) groupOfA = static_cast<int>(gi);
-      if (hull.contains({16.0, 16.0})) groupOfB = static_cast<int>(gi);
-    }
-  }
-  ASSERT_GE(groupOfA, 0);
-  ASSERT_GE(groupOfB, 0);
-  EXPECT_NE(groupOfA, groupOfB);
-  // Every multi-member group has an intersection witness (touching hulls
-  // count: the predicate is non-strict by design).
-  for (const auto& g : groups) {
-    if (g.members.size() < 2) continue;
-    bool witness = false;
-    for (std::size_t i = 0; i < g.members.size() && !witness; ++i) {
-      for (std::size_t j = i + 1; j < g.members.size() && !witness; ++j) {
-        witness = abstraction::convexPolygonsIntersect(
-            net.abstractions()[static_cast<std::size_t>(g.members[i])].hullPolygon,
-            net.abstractions()[static_cast<std::size_t>(g.members[j])].hullPolygon);
-      }
-    }
-    EXPECT_TRUE(witness);
-  }
-}
-
 // The paper's §4 guarantees are conditional on pairwise-disjoint convex
 // hulls; intersecting hulls are explicitly unsupported (named as future
 // work in §7). The contract of this implementation for that case:
@@ -137,17 +51,7 @@ TEST(HullGroups, IntersectingHullsAreDetected) {
 
   // Not disjoint implies some pair intersects under the loose predicate
   // (the converse can fail only on exact boundary contact).
-  bool witness = false;
-  const auto& abs = net.abstractions();
-  for (std::size_t i = 0; i < abs.size() && !witness; ++i) {
-    if (abs[i].hullPolygon.size() < 3) continue;
-    for (std::size_t j = i + 1; j < abs.size() && !witness; ++j) {
-      if (abs[j].hullPolygon.size() < 3) continue;
-      witness = abstraction::convexPolygonsIntersect(abs[i].hullPolygon,
-                                                     abs[j].hullPolygon);
-    }
-  }
-  EXPECT_TRUE(witness);
+  EXPECT_TRUE(abstraction::anyHullsIntersect(net.abstractions()));
 }
 
 TEST(HullGroups, UnmergedRouterStillDeliversOnIntersectingHulls) {
