@@ -198,11 +198,7 @@ class DsProtocol : public sim::Protocol {
 DominatingSetProtocol::DominatingSetProtocol(sim::Simulator& simulator,
                                              std::vector<std::vector<int>> chains,
                                              unsigned seed, const RetryPolicy* retry)
-    : sim_(simulator), chains_(std::move(chains)), seed_(seed) {
-  if (retry != nullptr) {
-    withRetry_ = true;
-    policy_ = *retry;
-  }
+    : sim_(simulator), chains_(std::move(chains)), seed_(seed), withRetry_(retry != nullptr) {
   // Chain neighbors are ring neighbors, known from the boundary structure.
   for (const auto& chain : chains_) {
     for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
@@ -226,14 +222,8 @@ int DominatingSetProtocol::run(int maxRounds) {
     }
   }
   DsProtocol proto(st, seed_);
-  int rounds = 0;
-  if (withRetry_) {
-    ReliableProtocol reliable(sim_, proto, policy_);
-    rounds = sim_.run(reliable, maxRounds);
-    reliableStats_ = reliable.stats();
-  } else {
-    rounds = sim_.run(proto, maxRounds);
-  }
+  reliableStats_ = {};
+  const int rounds = runProtocol(sim_, proto, withRetry_, &reliableStats_, maxRounds);
   HYBRID_OBS_STMT(if (obs::enabled()) {
     auto& reg = obs::Registry::global();
     reg.counter("proto.ds.runs").add(1);

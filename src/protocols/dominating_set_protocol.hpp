@@ -43,7 +43,6 @@ class DominatingSetProtocol {
   std::vector<std::vector<int>> result_;
   unsigned seed_;
   bool withRetry_ = false;
-  RetryPolicy policy_;
   ReliableStats reliableStats_;
 };
 

@@ -142,12 +142,7 @@ LabelDistributionReport distributeNodeLabels(
 
   LabelDistribution proto(st, labels);
   LabelDistributionReport rep;
-  if (retry != nullptr) {
-    ReliableProtocol reliable(simulator, proto, *retry);
-    rep.rounds = simulator.run(reliable);
-  } else {
-    rep.rounds = simulator.run(proto);
-  }
+  rep.rounds = runProtocol(simulator, proto, retry != nullptr);
 
   rep.complete = true;
   for (const LabelDistState& s : st) {

@@ -175,13 +175,9 @@ DistributedLdel runLdelConstruction(sim::Simulator& simulator, double radius,
   std::vector<NodeState> st(simulator.numNodes());
   LdelProtocol proto(st, radius);
   DistributedLdel out;
-  if (retry != nullptr) {
-    ReliableProtocol reliable(simulator, proto, *retry);
-    out.rounds = simulator.run(reliable);
-    out.retransmissions = reliable.stats().retransmissions;
-  } else {
-    out.rounds = simulator.run(proto);
-  }
+  ReliableStats transport;
+  out.rounds = runProtocol(simulator, proto, retry != nullptr, &transport);
+  out.retransmissions = transport.retransmissions;
   out.messages = simulator.totalMessages();
   HYBRID_OBS_STMT(if (obs::enabled()) {
     auto& reg = obs::Registry::global();

@@ -6,12 +6,26 @@
 
 namespace hybrid::protocols {
 
-ReliableProtocol::ReliableProtocol(sim::Simulator& simulator, sim::Protocol& inner,
-                                   RetryPolicy policy)
-    : sim_(simulator), inner_(inner), policy_(policy) {
-  policy_.baseTimeout = std::max(3, policy_.baseTimeout);
-  policy_.maxTimeout = std::max(policy_.baseTimeout, policy_.maxTimeout);
-  policy_.maxAttempts = std::max(1, policy_.maxAttempts);
+ReliableStats& ReliableStats::operator+=(const ReliableStats& o) {
+  retransmissions += o.retransmissions;
+  acks += o.acks;
+  duplicatesSuppressed += o.duplicatesSuppressed;
+  heldForOrder += o.heldForOrder;
+  abandoned += o.abandoned;
+  return *this;
+}
+
+int runProtocol(sim::Simulator& simulator, sim::Protocol& proto, bool reliable,
+                ReliableStats* stats, int maxRounds) {
+  if (!reliable) return simulator.run(proto, maxRounds);
+  ReliableProtocol transport(simulator, proto);
+  const int rounds = simulator.run(transport, maxRounds);
+  if (stats != nullptr) *stats += transport.stats();
+  return rounds;
+}
+
+ReliableProtocol::ReliableProtocol(sim::Simulator& simulator, sim::Protocol& inner)
+    : sim_(simulator), inner_(inner) {
   st_.resize(sim_.numNodes());
   sim_.setSendTap(this);
 }
@@ -44,7 +58,7 @@ void ReliableProtocol::onSend(sim::Message& m, int round) {
   m.relSeq = seq;
   PendingSend& p = s.pending[{m.to, seq}];
   p.msg = m;
-  p.timeout = policy_.baseTimeout;
+  p.timeout = RetryPolicy::baseTimeout;
   p.nextRetry = round + p.timeout;
   p.attempts = 1;
 }
@@ -110,13 +124,13 @@ void ReliableProtocol::onRoundEnd(sim::Context& ctx) {
       ++it;
       continue;
     }
-    if (p.attempts >= policy_.maxAttempts) {
+    if (p.attempts >= RetryPolicy::maxAttempts) {
       ++s.counters.abandoned;
       it = s.pending.erase(it);
       continue;
     }
     ++p.attempts;
-    p.timeout = std::min(p.timeout * 2, policy_.maxTimeout);
+    p.timeout = std::min(p.timeout * 2, RetryPolicy::maxTimeout);
     p.nextRetry = round + p.timeout;
     sim::Message copy = p.msg;
     if (copy.link == sim::Link::AdHoc) {
@@ -130,13 +144,7 @@ void ReliableProtocol::onRoundEnd(sim::Context& ctx) {
 
 ReliableStats ReliableProtocol::stats() const {
   ReliableStats total;
-  for (const NodeState& s : st_) {
-    total.retransmissions += s.counters.retransmissions;
-    total.acks += s.counters.acks;
-    total.duplicatesSuppressed += s.counters.duplicatesSuppressed;
-    total.heldForOrder += s.counters.heldForOrder;
-    total.abandoned += s.counters.abandoned;
-  }
+  for (const NodeState& s : st_) total += s.counters;
   return total;
 }
 

@@ -7,13 +7,15 @@
 
 namespace hybrid::protocols {
 
-/// Timeout/backoff knobs for the reliable transport. The ad hoc round-trip
-/// is two rounds (data delivered round i+1, ack round i+2), so the base
-/// timeout must be at least 3 to avoid spurious retransmissions.
+/// Timeout and backoff of the reliable transport. The ad hoc round trip is
+/// two rounds (data delivered round i+1, ack round i+2), so the base
+/// timeout must be at least 3 to avoid spurious retransmissions. A
+/// protocol driver that takes a `const RetryPolicy*` runs under the
+/// transport when the pointer is set.
 struct RetryPolicy {
-  int baseTimeout = 3;   ///< Rounds before the first retransmission.
-  int maxTimeout = 32;   ///< Cap of the exponential backoff.
-  int maxAttempts = 16;  ///< Total sends per message before giving up.
+  static constexpr int baseTimeout = 3;   ///< Rounds before the first retransmission.
+  static constexpr int maxTimeout = 32;   ///< Cap of the exponential backoff.
+  static constexpr int maxAttempts = 16;  ///< Total sends per message before giving up.
 };
 
 /// Transport counters aggregated across all nodes of one wrapped run
@@ -25,6 +27,8 @@ struct ReliableStats {
   long duplicatesSuppressed = 0;  ///< Dropped as already-delivered copies.
   long heldForOrder = 0;          ///< Buffered to restore per-link FIFO order.
   long abandoned = 0;             ///< Gave up after maxAttempts sends.
+
+  ReliableStats& operator+=(const ReliableStats& o);
 };
 
 /// Stop-and-go ARQ wrapper that turns the lossy fault-injected channels
@@ -43,8 +47,7 @@ struct ReliableStats {
 /// inner protocol's message pattern is unchanged.
 class ReliableProtocol : public sim::Protocol, public sim::SendTap {
  public:
-  ReliableProtocol(sim::Simulator& simulator, sim::Protocol& inner,
-                   RetryPolicy policy = {});
+  ReliableProtocol(sim::Simulator& simulator, sim::Protocol& inner);
   ~ReliableProtocol() override;
 
   void onStart(sim::Context& ctx) override;
@@ -80,8 +83,14 @@ class ReliableProtocol : public sim::Protocol, public sim::SendTap {
 
   sim::Simulator& sim_;
   sim::Protocol& inner_;
-  RetryPolicy policy_;
   std::vector<NodeState> st_;
 };
+
+/// Runs `proto` on `simulator` for at most `maxRounds` rounds and returns
+/// the rounds used; the protocol drivers' one way to run. With `reliable`
+/// set the run goes through the ReliableProtocol transport, and its
+/// counters are added into `*stats` when `stats` is non-null.
+int runProtocol(sim::Simulator& simulator, sim::Protocol& proto, bool reliable,
+                ReliableStats* stats = nullptr, int maxRounds = 1 << 20);
 
 }  // namespace hybrid::protocols

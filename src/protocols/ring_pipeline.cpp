@@ -416,13 +416,8 @@ class BroadcastDown : public sim::Protocol {
 
 RingPipeline::RingPipeline(sim::Simulator& simulator, RingInputs inputs,
                            const RetryPolicy* retry)
-    : sim_(simulator), inputs_(std::move(inputs)) {
-  if (retry != nullptr) {
-    withRetry_ = true;
-    policy_ = *retry;
-  }
+    : sim_(simulator), inputs_(std::move(inputs)), withRetry_(retry != nullptr) {
   ringId_.assign(sim_.numNodes(), -1);
-  ringOf_.assign(sim_.numNodes(), -1);
   // Make each ring simple (drop repeated visits through cut vertices).
   for (auto& ring : inputs_.rings) {
     std::set<int> seen;
@@ -451,24 +446,10 @@ int RingPipeline::runPhase(sim::Protocol& phase) {
     static obs::Counter& cPhases = reg.counter("proto.ring.phases");
     cPhases.add(1);
   });
-  if (!withRetry_) {
-    const int plainRounds = sim_.run(phase);
-    HYBRID_OBS_STMT(if (obs::enabled()) {
-      obs::Registry::global().counter("proto.ring.rounds").add(
-          static_cast<std::uint64_t>(plainRounds));
-    });
-    return plainRounds;
-  }
-  ReliableProtocol reliable(sim_, phase, policy_);
-  const int rounds = sim_.run(reliable);
+  const int rounds = runProtocol(sim_, phase, withRetry_, &reliableStats_);
   HYBRID_OBS_STMT(if (obs::enabled()) {
     obs::Registry::global().counter("proto.ring.rounds").add(static_cast<std::uint64_t>(rounds));
   });
-  reliableStats_.retransmissions += reliable.stats().retransmissions;
-  reliableStats_.acks += reliable.stats().acks;
-  reliableStats_.duplicatesSuppressed += reliable.stats().duplicatesSuppressed;
-  reliableStats_.heldForOrder += reliable.stats().heldForOrder;
-  reliableStats_.abandoned += reliable.stats().abandoned;
   return rounds;
 }
 
@@ -521,7 +502,6 @@ std::vector<RingResult> RingPipeline::run() {
     const auto& list = st.of(static_cast<int>(v));
     if (!list.empty()) {
       ringId_[v] = list.front().id == kNoId ? -1 : static_cast<int>(list.front().id);
-      ringOf_[v] = list.front().ring;
     }
   }
 

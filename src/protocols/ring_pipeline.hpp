@@ -57,10 +57,6 @@ class RingPipeline {
 
   /// Ring-distance ID of a node after phase 2 (-1 if not on any ring).
   int ringIdOf(int node) const { return ringId_[static_cast<std::size_t>(node)]; }
-  /// Which ring a node belongs to (-1 if none; a node on several rings is
-  /// processed for its first ring only — multi-ring membership is handled
-  /// by running the pipeline once per ring set in practice).
-  int ringOf(int node) const { return ringOf_[static_cast<std::size_t>(node)]; }
 
  private:
   int runPhase(sim::Protocol& phase);
@@ -68,11 +64,9 @@ class RingPipeline {
   sim::Simulator& sim_;
   RingInputs inputs_;
   bool withRetry_ = false;
-  RetryPolicy policy_;
   ReliableStats reliableStats_;
   RingPipelineRounds rounds_;
   std::vector<int> ringId_;
-  std::vector<int> ringOf_;
 };
 
 }  // namespace hybrid::protocols

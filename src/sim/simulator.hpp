@@ -100,7 +100,6 @@ class Simulator {
   /// Resets traffic statistics (knowledge is kept).
   void resetStats();
 
-  void setFaultPlan(FaultPlan faults) { faults_ = std::move(faults); }
   const FaultPlan& faultPlan() const { return faults_; }
 
   /// Worker threads for node stepping: 1 (default) steps nodes serially

@@ -168,7 +168,7 @@ std::string tracedReliableFlood(const graph::GeometricGraph& udg, std::uint64_t 
   sim::Simulator s(udg, sim::FaultPlan(lossyConfig(seed)));
   s.enableTrace();
   FloodProtocol flood(udg.numNodes());
-  protocols::ReliableProtocol reliable(s, flood, {});
+  protocols::ReliableProtocol reliable(s, flood);
   s.run(reliable);
   EXPECT_TRUE(flood.complete());
   return s.trace();
@@ -255,7 +255,7 @@ TEST(FaultSemantics, CrashedReceiverLosesMessagesUntilRecovery) {
   // the crash window and the flood completes after recovery.
   sim::Simulator s2(udg, sim::FaultPlan(cfg));
   FloodProtocol flood2(udg.numNodes());
-  protocols::ReliableProtocol reliable(s2, flood2, {});
+  protocols::ReliableProtocol reliable(s2, flood2);
   const int rounds = s2.run(reliable);
   EXPECT_TRUE(flood2.complete());
   EXPECT_GE(rounds, 4);  // cannot finish before the crash interval ends
@@ -354,7 +354,7 @@ TEST(ReliableTransport, NoFaultsMeansNoRetransmissions) {
   const auto udg = lineGraph(10);
   sim::Simulator s(udg);
   FloodProtocol flood(udg.numNodes());
-  protocols::ReliableProtocol reliable(s, flood, {});
+  protocols::ReliableProtocol reliable(s, flood);
   s.run(reliable);
   EXPECT_TRUE(flood.complete());
   EXPECT_EQ(reliable.stats().retransmissions, 0);
@@ -371,7 +371,7 @@ TEST(ReliableTransport, FloodSurvivesHeavyCombinedFaults) {
   cfg.adHocDelay = 0.1;
   sim::Simulator s(udg, sim::FaultPlan(cfg));
   FloodProtocol flood(udg.numNodes());
-  protocols::ReliableProtocol reliable(s, flood, {});
+  protocols::ReliableProtocol reliable(s, flood);
   s.run(reliable);
   EXPECT_TRUE(flood.complete());
   EXPECT_GT(reliable.stats().retransmissions, 0);

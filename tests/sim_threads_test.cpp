@@ -161,7 +161,7 @@ ReliableRun reliableRunAt(int threads, const FaultConfig* faults) {
   sim.setAllowOversubscribe(true);
   sim.enableTrace();
   MixProtocol inner(g.numNodes(), 5);
-  protocols::ReliableProtocol rel(sim, inner, {});
+  protocols::ReliableProtocol rel(sim, inner);
   sim.run(rel, 400);
   return {sim.trace(), rel.stats().retransmissions};
 }
