@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "../bench/bench_util.hpp"
+#include "core/hybrid_network.hpp"
 #include "delaunay/udg.hpp"
+#include "protocols/dominating_set_protocol.hpp"
+#include "protocols/ldel_protocol.hpp"
 #include "protocols/reliable.hpp"
+#include "protocols/ring_pipeline.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/simulator.hpp"
 
@@ -199,6 +205,122 @@ TEST(SimThreads, FaultFreeTracesMatchRecordedDigests) {
     const std::uint64_t reliable = fnv1a(reliableRunAt(t, nullptr).trace);
     EXPECT_EQ(plain, kPlainDigest) << "threads=" << t << std::hex << " 0x" << plain;
     EXPECT_EQ(reliable, kReliableDigest) << "threads=" << t << std::hex << " 0x" << reliable;
+  }
+}
+
+// FNV-1a over 64-bit words, for hashing protocol outputs.
+class WordHash {
+ public:
+  void add(std::int64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (static_cast<std::uint64_t>(w) >> (8 * i)) & 0xFF;
+      h_ *= 0x100000001B3ULL;
+    }
+  }
+  void add(double x) { add(std::bit_cast<std::int64_t>(x)); }
+  void add(const std::vector<int>& v) {
+    add(static_cast<std::int64_t>(v.size()));
+    for (const int x : v) add(static_cast<std::int64_t>(x));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+struct LossyDigests {
+  std::uint64_t trace = 0;
+  std::uint64_t ldel = 0;
+  std::uint64_t rings = 0;
+  std::uint64_t ds = 0;
+};
+
+// The distributed preprocessing under the ARQ transport on one lossy,
+// traced simulator: LDel^2, the ring pipeline on the hole rings plus the
+// outer boundary, then dominating sets on the bay chains.
+LossyDigests lossyPreprocessingAt(const core::HybridNetwork& net, int threads) {
+  FaultConfig cfg;
+  cfg.seed = 20261019;
+  cfg.adHocDrop = 0.05;
+  cfg.longRangeDrop = 0.05;
+  cfg.adHocDuplicate = 0.03;
+  cfg.adHocDelay = 0.03;
+  Simulator sim(net.udg(), FaultPlan(cfg));
+  sim.setThreads(threads);
+  sim.setAllowOversubscribe(true);
+  sim.enableTrace();
+  const protocols::RetryPolicy retry;
+  LossyDigests d;
+
+  const auto ldel = protocols::runLdelConstruction(sim, net.radius(), &retry);
+  WordHash hl;
+  for (std::size_t v = 0; v < ldel.graph.numNodes(); ++v) {
+    const auto nbrs = ldel.graph.neighbors(static_cast<int>(v));
+    hl.add(std::vector<int>(nbrs.begin(), nbrs.end()));
+    hl.add(static_cast<std::int64_t>(ldel.isBoundary[v]));
+    hl.add(static_cast<std::int64_t>(ldel.gaps[v].size()));
+    for (const auto& [a, b] : ldel.gaps[v]) {
+      hl.add(static_cast<std::int64_t>(a));
+      hl.add(static_cast<std::int64_t>(b));
+    }
+  }
+  hl.add(static_cast<std::int64_t>(ldel.rounds));
+  hl.add(static_cast<std::int64_t>(ldel.messages));
+  hl.add(static_cast<std::int64_t>(ldel.retransmissions));
+  d.ldel = hl.value();
+
+  protocols::RingInputs rings;
+  for (const auto& h : net.holes().holes) rings.rings.push_back(h.ring);
+  if (net.holes().outerBoundary.size() >= 3) rings.rings.push_back(net.holes().outerBoundary);
+  protocols::RingPipeline pipeline(sim, rings, &retry);
+  WordHash hr;
+  for (const auto& r : pipeline.run()) {
+    hr.add(static_cast<std::int64_t>(r.leader));
+    hr.add(static_cast<std::int64_t>(r.size));
+    hr.add(r.turningAngle);
+    hr.add(r.hull);
+  }
+  hr.add(static_cast<std::int64_t>(pipeline.rounds().total()));
+  hr.add(static_cast<std::int64_t>(pipeline.reliableStats().retransmissions));
+  d.rings = hr.value();
+
+  std::vector<std::vector<int>> chains;
+  for (const auto& a : net.abstractions()) {
+    for (const auto& bay : a.bays) chains.push_back(bay.chain);
+  }
+  protocols::DominatingSetProtocol ds(sim, chains, 1, &retry);
+  WordHash hd;
+  hd.add(static_cast<std::int64_t>(ds.run()));
+  for (std::size_t c = 0; c < ds.numChains(); ++c) hd.add(ds.dominatingSet(c));
+  hd.add(static_cast<std::int64_t>(ds.reliableStats().retransmissions));
+  d.ds = hd.value();
+
+  d.trace = fnv1a(sim.trace());
+  return d;
+}
+
+// Digests of the distributed preprocessing under loss, duplicates and
+// delays, recorded from the code: a change to any protocol's messages,
+// send order, ARQ bookkeeping or outputs shows up here, at 1 and 2
+// threads.
+TEST(SimThreads, LossyPreprocessingMatchesRecordedDigests) {
+  const auto sc = bench::convexHolesScenario(600, 7);
+  const core::HybridNetwork net(sc.points, sc.radius);
+  ASSERT_FALSE(net.holes().holes.empty());
+  std::size_t bays = 0;
+  for (const auto& a : net.abstractions()) bays += a.bays.size();
+  ASSERT_GT(bays, 0u);
+
+  constexpr std::uint64_t kTrace = 0x4E45CFFCF4C76A85ULL;
+  constexpr std::uint64_t kLdel = 0x57F3852E04F8CD84ULL;
+  constexpr std::uint64_t kRings = 0xF2A85EF5A36307CAULL;
+  constexpr std::uint64_t kDs = 0x6924F46E87F1E7F1ULL;
+  for (const int t : {1, 2}) {
+    const LossyDigests d = lossyPreprocessingAt(net, t);
+    EXPECT_EQ(d.trace, kTrace) << "threads=" << t << std::hex << " 0x" << d.trace;
+    EXPECT_EQ(d.ldel, kLdel) << "threads=" << t << std::hex << " 0x" << d.ldel;
+    EXPECT_EQ(d.rings, kRings) << "threads=" << t << std::hex << " 0x" << d.rings;
+    EXPECT_EQ(d.ds, kDs) << "threads=" << t << std::hex << " 0x" << d.ds;
   }
 }
 
