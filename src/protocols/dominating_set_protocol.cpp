@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 
 namespace hybrid::protocols {
 
@@ -209,6 +210,7 @@ DominatingSetProtocol::DominatingSetProtocol(sim::Simulator& simulator,
 }
 
 int DominatingSetProtocol::run(int maxRounds) {
+  obs::ScopedSpan span("proto.ds");
   std::vector<DsState> st(sim_.numNodes());
   for (std::size_t c = 0; c < chains_.size(); ++c) {
     const auto& chain = chains_[c];

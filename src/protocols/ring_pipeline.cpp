@@ -7,6 +7,7 @@
 #include "geom/angle.hpp"
 #include "geom/polygon.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "protocols/reliable.hpp"
 
 namespace hybrid::protocols {
@@ -454,6 +455,7 @@ int RingPipeline::runPhase(sim::Protocol& phase) {
 }
 
 std::vector<RingResult> RingPipeline::run() {
+  obs::ScopedSpan span("proto.ring");
   Instances st(sim_.numNodes());
   for (std::size_t ri = 0; ri < inputs_.rings.size(); ++ri) {
     const auto& ring = inputs_.rings[ri];

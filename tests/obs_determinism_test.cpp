@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,8 @@
 #include "delaunay/udg.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "protocols/ldel_protocol.hpp"
+#include "protocols/reliable.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/shapes.hpp"
 #include "sim/fault_plan.hpp"
@@ -100,6 +103,54 @@ TEST(ObsDeterminism, SimTraceIdenticalWithMetricsOnAndOffThreaded) {
   EXPECT_EQ(off, on);
   // And thread count never changes the trace either way.
   EXPECT_EQ(on, runFloodTrace(true, 1));
+}
+
+struct LdelRun {
+  protocols::DistributedLdel ldel;
+  std::string trace;
+};
+
+// LDel^2 under the ARQ transport on noisyPlan()'s lossy channels.
+LdelRun runLossyLdel(const graph::GeometricGraph& udg, double radius, bool metricsOn,
+                     int threads) {
+  obs::setEnabled(metricsOn && obs::kCompiledIn);
+  sim::Simulator s(udg, noisyPlan());
+  s.setThreads(threads);
+  s.setAllowOversubscribe(true);
+  s.enableTrace();
+  const protocols::RetryPolicy retry;
+  LdelRun r{protocols::runLdelConstruction(s, radius, &retry), {}};
+  obs::setEnabled(false);
+  r.trace = s.trace();
+  return r;
+}
+
+bool sameLdel(const protocols::DistributedLdel& a, const protocols::DistributedLdel& b) {
+  if (a.graph.numNodes() != b.graph.numNodes()) return false;
+  for (int v = 0; v < static_cast<int>(a.graph.numNodes()); ++v) {
+    if (!std::ranges::equal(a.graph.neighbors(v), b.graph.neighbors(v))) return false;
+  }
+  return a.isBoundary == b.isBoundary && a.gaps == b.gaps && a.rounds == b.rounds &&
+         a.messages == b.messages && a.retransmissions == b.retransmissions;
+}
+
+TEST(ObsDeterminism, LossyLdelIdenticalWithMetricsOnAndOff) {
+  ObsFlagGuard guard;
+  const auto sc = scenario::makeScenario(scenario::paramsForNodeCount(150, 17));
+  const auto udg = delaunay::buildUnitDiskGraph(sc.points, sc.radius);
+  const LdelRun off = runLossyLdel(udg, sc.radius, false, 1);
+  ASSERT_GT(off.ldel.retransmissions, 0);  // the plan bites
+  for (const int threads : {1, 2}) {
+    const LdelRun on = runLossyLdel(udg, sc.radius, true, threads);
+    EXPECT_TRUE(sameLdel(off.ldel, on.ldel)) << "threads=" << threads;
+    EXPECT_EQ(off.trace, on.trace) << "threads=" << threads;
+  }
+  if (!obs::kCompiledIn) return;
+  // The simulator run and the assembly nest under the protocol's span.
+  std::vector<std::string> paths;
+  for (const auto& [path, stats] : obs::Tracer::global().spanValues()) paths.push_back(path);
+  EXPECT_NE(std::ranges::find(paths, "proto.ldel/sim.run"), paths.end());
+  EXPECT_NE(std::ranges::find(paths, "proto.ldel/assemble"), paths.end());
 }
 
 bool sameResult(const routing::RouteResult& a, const routing::RouteResult& b) {
