@@ -403,6 +403,10 @@ TEST(LdelUnderLoss, RetryingConstructionMatchesFaultFreeOnRandomInstances) {
       sim::FaultConfig cfg;
       cfg.seed = 100 * seed + static_cast<std::uint64_t>(loss * 1000);
       cfg.adHocDrop = loss;
+      // Duplicates and delays run the transport's dedup and reorder paths,
+      // and a neighbor that proposes first confirms early.
+      cfg.adHocDuplicate = 0.03;
+      cfg.adHocDelay = 0.03;
       sim::Simulator s(net.udg(), sim::FaultPlan(cfg));
       const auto dist = protocols::runLdelConstruction(s, net.radius(), &retry);
 
