@@ -40,7 +40,7 @@ int main() {
     routing::GreedyRouter greedy(net.ldel());
     routing::CompassRouter compass(net.ldel());
     routing::FaceGreedyRouter face(net.ldel(), net.subdivision(), net.holes());
-    routing::GoafrRouter goafr(net.ldel());
+    routing::GoafrRouter goafr(net.ldel(), net.subdivision());
     auto hullDel = net.makeRouter(
         {.sites = routing::SiteMode::HullNodes, .edges = routing::EdgeMode::Delaunay});
     auto hullVis = net.makeRouter(

@@ -57,7 +57,8 @@ std::unique_ptr<routing::Router> makeNamedRouter(core::HybridNetwork& net,
     return net.makeRouter({.sites = SiteMode::AllHoleNodes, .edges = EdgeMode::Visibility});
   if (name == "lch-delaunay")
     return net.makeRouter({.sites = SiteMode::LocallyConvexHull, .edges = EdgeMode::Delaunay});
-  if (name == "goafr") return std::make_unique<routing::GoafrRouter>(net.ldel());
+  if (name == "goafr")
+    return std::make_unique<routing::GoafrRouter>(net.ldel(), net.subdivision());
   if (name == "face")
     return std::make_unique<routing::FaceGreedyRouter>(net.ldel(), net.subdivision(),
                                                        net.holes());

@@ -3,10 +3,21 @@
 #include <algorithm>
 #include <utility>
 
+#include "geom/angle.hpp"
 #include "geom/polygon.hpp"
-#include "graph/rotation.hpp"
 
 namespace hybrid::graph {
+
+void sortCcw(const GeometricGraph& g, NodeId at, std::span<NodeId> nbrs) {
+  // One atan2 per neighbour rather than two per comparison.
+  thread_local std::vector<std::pair<double, NodeId>> keyed;
+  const geom::Vec2 pa = g.position(at);
+  keyed.clear();
+  for (NodeId nb : nbrs) keyed.emplace_back(geom::directionAngle(pa, g.position(nb)), nb);
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (std::size_t i = 0; i < keyed.size(); ++i) nbrs[i] = keyed[i].second;
+}
 
 PlanarFaces::PlanarFaces(const GeometricGraph& g, double hullRadius) {
   const auto n = static_cast<NodeId>(g.numNodes());

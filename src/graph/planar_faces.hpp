@@ -7,6 +7,11 @@
 
 namespace hybrid::graph {
 
+/// Sorts `nbrs` counter-clockwise by their direction from `at`: the one
+/// angular order that the face table, its face walks and the distributed
+/// LDel^2 boundary test share.
+void sortCcw(const GeometricGraph& g, NodeId at, std::span<NodeId> nbrs);
+
 /// Half-edge face table of a plane straight-line graph augmented with the
 /// convex-hull edges longer than a radius (paper Def. 2.5), so that every
 /// point inside the hull of V lies in a bounded face. Everything is an
@@ -52,6 +57,8 @@ class PlanarFaces {
   int faceOf(int h) const { return face_[static_cast<std::size_t>(h)]; }
   /// The half-edge after h clockwise around tail(h).
   int cw(int h) const { return h == out(tail(h)) ? out(tail(h) + 1) - 1 : h - 1; }
+  /// The half-edge after h counter-clockwise around tail(h).
+  int ccw(int h) const { return h == out(tail(h) + 1) - 1 ? out(tail(h)) : h + 1; }
   /// The half-edge after h along the face on its left.
   int next(int h) const { return cw(twin(h)); }
   /// The half-edge u -> v, or -1.

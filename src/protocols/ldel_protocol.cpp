@@ -7,6 +7,7 @@
 #include "geom/angle.hpp"
 #include "geom/circumcircle.hpp"
 #include "geom/predicates.hpp"
+#include "graph/planar_faces.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "protocols/reliable.hpp"
@@ -296,11 +297,7 @@ DistributedLdel runLdelConstruction(sim::Simulator& simulator, double radius,
   // whose corners are triangles is a triangle face.)
   out.isBoundary.assign(st.size(), 0);
   out.gaps.assign(st.size(), {});
-  struct Spoke {
-    double angle;
-    int nb;
-  };
-  std::vector<Spoke> spokes;
+  std::vector<int> spokes;
   for (std::size_t vi = 0; vi < st.size(); ++vi) {
     const int v = static_cast<int>(vi);
     auto nbrs = out.graph.neighbors(v);
@@ -309,11 +306,8 @@ DistributedLdel runLdelConstruction(sim::Simulator& simulator, double radius,
       continue;
     }
     const geom::Vec2 pv = out.graph.position(v);
-    spokes.clear();
-    for (const int nb : nbrs) {
-      spokes.push_back({geom::directionAngle(pv, out.graph.position(nb)), nb});
-    }
-    std::ranges::sort(spokes, {}, &Spoke::angle);
+    spokes.assign(nbrs.begin(), nbrs.end());
+    graph::sortCcw(out.graph, v, spokes);
     if (spokes.size() == 2) {
       // Two neighbors span two wedges with the same (unordered) triple; a
       // triangle can cover at most one of them, so the node is always on
@@ -321,14 +315,14 @@ DistributedLdel runLdelConstruction(sim::Simulator& simulator, double radius,
       // of the triangle's centroid, and report the uncovered wedge(s) as
       // gaps, oriented (cw neighbor, ccw neighbor).
       out.isBoundary[vi] = 1;
-      const int n0 = spokes[0].nb;
-      const int n1 = spokes[1].nb;
+      const int n0 = spokes[0];
+      const int n1 = spokes[1];
       if (survives(st[vi], sortedTriangle(v, n0, n1))) {
         const geom::Vec2 pa = out.graph.position(n0);
         const geom::Vec2 pb = out.graph.position(n1);
         const geom::Vec2 centroid = (pv + pa + pb) / 3.0;
-        const double a0 = spokes[0].angle;
-        const double a1 = spokes[1].angle;
+        const double a0 = geom::directionAngle(pv, pa);
+        const double a1 = geom::directionAngle(pv, pb);
         const double ac = geom::directionAngle(pv, centroid);
         // Is the centroid inside the ccw wedge from n0 to n1?
         const auto inCcwWedge = [](double from, double to, double x) {
@@ -352,8 +346,8 @@ DistributedLdel runLdelConstruction(sim::Simulator& simulator, double radius,
       continue;
     }
     for (std::size_t i = 0; i < spokes.size(); ++i) {
-      const int a = spokes[i].nb;
-      const int b = spokes[(i + 1) % spokes.size()].nb;
+      const int a = spokes[i];
+      const int b = spokes[(i + 1) % spokes.size()];
       if (!survives(st[vi], sortedTriangle(v, a, b))) {
         out.isBoundary[vi] = 1;
         out.gaps[vi].push_back({a, b});

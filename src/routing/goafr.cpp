@@ -1,6 +1,9 @@
 #include "routing/goafr.hpp"
 
 #include <algorithm>
+#include <numbers>
+
+#include "geom/angle.hpp"
 
 namespace hybrid::routing {
 
@@ -28,6 +31,32 @@ graph::NodeId greedyStep(const graph::GeometricGraph& g, graph::NodeId cur,
 
 }  // namespace
 
+int GoafrRouter::turn(int h, bool clockwise) const {
+  do {
+    h = clockwise ? faces_.cw(h) : faces_.ccw(h);
+  } while (faces_.isHull(h));
+  return h;
+}
+
+int GoafrRouter::firstEdge(graph::NodeId u, geom::Vec2 towards, bool clockwise) const {
+  const geom::Vec2 pu = g_.position(u);
+  const double ref = geom::directionAngle(pu, towards);
+  // Smallest angular gap from the ray, scanning u's half-edges in ccw order.
+  int best = -1;
+  double bestGap = 1e18;
+  for (int h = faces_.out(u); h < faces_.out(u + 1); ++h) {
+    if (faces_.isHull(h)) continue;
+    const double a = geom::directionAngle(pu, g_.position(faces_.head(h)));
+    double gap = clockwise ? ref - a : a - ref;
+    if (gap < 0) gap += 2.0 * std::numbers::pi;
+    if (gap < bestGap) {
+      bestGap = gap;
+      best = h;
+    }
+  }
+  return best;
+}
+
 graph::NodeId GoafrRouter::facePhase(std::vector<graph::NodeId>& path, graph::NodeId u,
                                      graph::NodeId target) const {
   const geom::Vec2 pt = g_.position(target);
@@ -37,10 +66,10 @@ graph::NodeId GoafrRouter::facePhase(std::vector<graph::NodeId>& path, graph::No
 
   for (int growth = 0; growth < kMaxCircleGrowths; ++growth) {
     for (const bool cwSweep : {true, false}) {
-      graph::NodeId prev = u;
-      graph::NodeId cur = cwSweep ? rot_.firstCw(u, pt) : rot_.firstCcw(u, pt);
-      if (cur < 0) continue;
-      const graph::NodeId firstEdgeTo = cur;
+      const int first = firstEdge(u, pt, cwSweep);
+      if (first < 0) continue;
+      int h = first;  // the half-edge the message last crossed
+      graph::NodeId cur = faces_.head(h);
       std::vector<graph::NodeId> walk;
       bool hitCircle = false;
       for (std::size_t steps = 0; steps < maxSteps; ++steps) {
@@ -55,14 +84,12 @@ graph::NodeId GoafrRouter::facePhase(std::vector<graph::NodeId>& path, graph::No
           return cur;
         }
         // Stay on the face the ray u->t enters: entering it over the
-        // clockwise-first edge walks it with the face-left rule (nextCw of
-        // the reverse edge), the counter-clockwise entry mirrors it.
-        const graph::NodeId next =
-            cwSweep ? rot_.nextCw(cur, prev) : rot_.nextCcw(cur, prev);
-        if (next < 0) break;
-        prev = cur;
-        cur = next;
-        if (prev == u && cur == firstEdgeTo) break;  // full face loop
+        // clockwise-first edge walks it with the face-left rule (the edge
+        // clockwise after the reverse edge), the counter-clockwise entry
+        // mirrors it.
+        h = turn(faces_.twin(h), cwSweep);
+        cur = faces_.head(h);
+        if (h == first) break;  // full face loop
         if (cur == u && walk.size() + 1 >= g_.numNodes()) break;
       }
       // Abandoned: the message physically walks back to u (GOAFR pays for

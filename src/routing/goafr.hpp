@@ -1,7 +1,7 @@
 #pragma once
 
-#include "graph/rotation.hpp"
 #include "routing/router.hpp"
+#include "routing/subdivision.hpp"
 
 namespace hybrid::routing {
 
@@ -11,10 +11,13 @@ namespace hybrid::routing {
 /// circle centered at the target. The circle starts at 1.4 * |ut| and
 /// doubles whenever both traversal directions hit it (at most 24 times),
 /// which is what makes the strategy O(rho^2)-competitive instead of
-/// unbounded.
+/// unbounded. Faces are walked on the network's face table with its hull
+/// half-edges skipped, so every hop is an edge of `planar`.
 class GoafrRouter : public Router {
  public:
-  explicit GoafrRouter(const graph::GeometricGraph& planar) : g_(planar), rot_(planar) {}
+  /// `sub` must be the subdivision of `planar`.
+  GoafrRouter(const graph::GeometricGraph& planar, const PlanarSubdivision& sub)
+      : g_(planar), faces_(sub.faces()) {}
 
   RouteResult route(graph::NodeId source, graph::NodeId target) const override;
   std::string name() const override { return "goafr+"; }
@@ -26,8 +29,15 @@ class GoafrRouter : public Router {
   graph::NodeId facePhase(std::vector<graph::NodeId>& path, graph::NodeId u,
                           graph::NodeId target) const;
 
+  /// The graph half-edge after h clockwise (or counter-clockwise) around
+  /// its tail, hull half-edges skipped.
+  int turn(int h, bool clockwise) const;
+  /// The first graph half-edge out of u met when sweeping from the
+  /// direction of `towards`, clockwise or counter-clockwise; -1 if none.
+  int firstEdge(graph::NodeId u, geom::Vec2 towards, bool clockwise) const;
+
   const graph::GeometricGraph& g_;
-  graph::RotationSystem rot_;
+  const graph::PlanarFaces& faces_;
 };
 
 }  // namespace hybrid::routing

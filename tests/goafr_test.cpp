@@ -1,29 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 #include "core/hybrid_network.hpp"
-#include "graph/rotation.hpp"
 #include "routing/goafr.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/shapes.hpp"
 
 namespace hybrid {
 namespace {
-
-TEST(RotationSystem, CcwOrderAndSuccessors) {
-  graph::GeometricGraph g({{0, 0}, {1, 0}, {0, 1}, {-1, 0}, {0, -1}});
-  for (int i = 1; i <= 4; ++i) g.addEdge(0, i);
-  const graph::RotationSystem rot(g);
-  EXPECT_EQ(rot.neighborsCcw(0), (std::vector<graph::NodeId>{1, 2, 3, 4}));
-  EXPECT_EQ(rot.nextCcw(0, 1), 2);
-  EXPECT_EQ(rot.nextCcw(0, 4), 1);
-  EXPECT_EQ(rot.nextCw(0, 1), 4);
-  // Sweeping from direction (1, 0.1): first cw neighbor is node 1 (east),
-  // first ccw is node 2 (north).
-  EXPECT_EQ(rot.firstCw(0, {1.0, 0.1}), 1);
-  EXPECT_EQ(rot.firstCcw(0, {1.0, 0.1}), 2);
-}
 
 TEST(Goafr, DeliversOnScenariosWithHoles) {
   scenario::ScenarioParams p;
@@ -32,7 +18,7 @@ TEST(Goafr, DeliversOnScenariosWithHoles) {
   p.obstacles.push_back(scenario::regularPolygonObstacle({10.0, 10.0}, 3.0, 6));
   const auto sc = scenario::makeScenario(p);
   core::HybridNetwork net(sc.points);
-  routing::GoafrRouter goafr(net.ldel());
+  routing::GoafrRouter goafr(net.ldel(), net.subdivision());
 
   std::mt19937 rng(3);
   std::uniform_int_distribution<int> pick(0, static_cast<int>(sc.points.size()) - 1);
@@ -53,6 +39,43 @@ TEST(Goafr, DeliversOnScenariosWithHoles) {
   EXPECT_GE(delivered, pairs * 95 / 100);
 }
 
+TEST(Goafr, FaceWalksSkipHullHalfEdges) {
+  // The deployment of LdelProtocol.SecondRunDetectsOuterHoles with a notch
+  // cut into its top edge. The face table closes each outer hole with a
+  // hull half-edge that is no radio link; a face walk that leaves a notch
+  // corner must skip it and follow the boundary. Routes between the outer
+  // holes' ring nodes walk those faces, and every hop must be an LDel^2
+  // edge.
+  scenario::ScenarioParams p;
+  p.width = p.height = 16.0;
+  p.seed = 410;
+  p.jitter = 0.35;
+  p.obstacles.push_back(scenario::regularPolygonObstacle({8, 8}, 2.5, 6));
+  p.obstacles.push_back(geom::Polygon({{6, 12}, {10, 12}, {10, 17}, {6, 17}}));
+  const auto sc = scenario::makeScenario(p);
+  core::HybridNetwork net(sc.points);
+  std::set<graph::NodeId> onOuterHole;
+  for (const auto& hole : net.holes().holes) {
+    if (hole.outer) onOuterHole.insert(hole.ring.begin(), hole.ring.end());
+  }
+  ASSERT_FALSE(onOuterHole.empty());
+
+  const auto& faces = net.subdivision().faces();
+  const routing::GoafrRouter goafr(net.ldel(), net.subdivision());
+  for (const graph::NodeId s : onOuterHole) {
+    for (const graph::NodeId t : onOuterHole) {
+      if (s == t) continue;
+      const auto r = goafr.route(s, t);
+      ASSERT_TRUE(r.delivered) << s << "->" << t;
+      for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
+        const int h = faces.find(r.path[i], r.path[i + 1]);
+        ASSERT_GE(h, 0) << s << "->" << t << " hop " << i;
+        ASSERT_FALSE(faces.isHull(h)) << s << "->" << t << " hop " << i;
+      }
+    }
+  }
+}
+
 TEST(Goafr, PaysForItsExplorationAroundDeepHoles) {
   // U-shaped hole with target behind it: GOAFR's bounded face exploration
   // must walk in and back out, so its path is longer than the hybrid's.
@@ -62,7 +85,7 @@ TEST(Goafr, PaysForItsExplorationAroundDeepHoles) {
   p.obstacles.push_back(scenario::uShapeObstacle({12.0, 12.0}, 10.0, 9.0, 1.5));
   const auto sc = scenario::makeScenario(p);
   core::HybridNetwork net(sc.points);
-  routing::GoafrRouter goafr(net.ldel());
+  routing::GoafrRouter goafr(net.ldel(), net.subdivision());
 
   auto nearest = [&](geom::Vec2 q) {
     int best = 0;

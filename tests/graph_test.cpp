@@ -215,6 +215,27 @@ TEST(PlanarFaces, FaceWalksCoverEveryDirectedEdgeOnce) {
   EXPECT_EQ(faces.numFaces(), 5);  // 4 triangles + outer
 }
 
+TEST(PlanarFaces, CcwOrderAndSuccessors) {
+  GeometricGraph g({{0, 0}, {1, 0}, {0, 1}, {-1, 0}, {0, -1}});
+  for (int i = 1; i <= 4; ++i) g.addEdge(0, i);
+  std::vector<NodeId> shuffled{4, 2, 1, 3};
+  sortCcw(g, 0, shuffled);
+  EXPECT_EQ(shuffled, (std::vector<NodeId>{1, 2, 3, 4}));
+
+  const PlanarFaces faces(g, kNoHull);
+  std::vector<NodeId> order;
+  for (int h = faces.out(0); h < faces.out(1); ++h) order.push_back(faces.head(h));
+  EXPECT_EQ(order, (std::vector<NodeId>{1, 2, 3, 4}));
+  EXPECT_EQ(faces.head(faces.ccw(faces.find(0, 1))), 2);
+  EXPECT_EQ(faces.head(faces.ccw(faces.find(0, 4))), 1);
+  EXPECT_EQ(faces.head(faces.cw(faces.find(0, 1))), 4);
+  EXPECT_EQ(faces.head(faces.cw(faces.find(0, 2))), 1);
+  for (int h = 0; h < faces.numHalfEdges(); ++h) {
+    EXPECT_EQ(faces.cw(faces.ccw(h)), h);
+    EXPECT_EQ(faces.ccw(faces.cw(h)), h);
+  }
+}
+
 TEST(PlanarFaces, LongHullEdgeClosesTheRegionOfATree) {
   // A U-shaped path: a tree, whose single walk bounds no region.
   GeometricGraph g({{2, 2}, {2, 1}, {2, 0}, {1, 0}, {0, 0}, {0, 1}, {0, 2}});

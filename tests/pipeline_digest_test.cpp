@@ -121,7 +121,7 @@ Digests digestOf(const scenario::Scenario& sc) {
   const auto bbox = net.makeRouter(bboxOptions);
   const routing::ChewRouter chew(net.ldel(), net.subdivision());
   const routing::FaceGreedyRouter face(net.ldel(), net.subdivision(), net.holes());
-  const routing::GoafrRouter goafr(net.ldel());
+  const routing::GoafrRouter goafr(net.ldel(), net.subdivision());
   const routing::Router* routers[] = {&net.router(), vis.get(), bbox.get(), &chew, &face, &goafr};
   const auto addRoutes = [&](Digest& d, const routing::Router& router) {
     for (const auto& p : pairs) {
