@@ -35,26 +35,31 @@ Scenario finalizeScenario(std::vector<geom::Vec2> pts,
   pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
 
   // Keep the largest UDG component so the connectivity assumption holds.
-  const auto udg = delaunay::buildUnitDiskGraph(pts, radius);
-  int numComp = 0;
-  const auto labels = udg.componentLabels(&numComp);
-  if (numComp > 1) {
-    std::vector<int> sizes(static_cast<std::size_t>(numComp), 0);
-    for (int l : labels) ++sizes[static_cast<std::size_t>(l)];
-    const int keep = static_cast<int>(
-        std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
-    std::vector<geom::Vec2> filtered;
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      if (labels[i] == keep) filtered.push_back(pts[i]);
-    }
-    pts = std::move(filtered);
-  }
+  keepLargestComponent(pts, delaunay::buildUnitDiskGraph(pts, radius));
 
   Scenario s;
   s.points = std::move(pts);
   s.obstacles = std::move(obstacles);
   s.radius = radius;
   return s;
+}
+
+int keepLargestComponent(std::vector<geom::Vec2>& points, const graph::GeometricGraph& udg) {
+  int numComp = 0;
+  const auto labels = udg.componentLabels(&numComp);
+  if (numComp <= 1) return 0;
+  std::vector<int> sizes(static_cast<std::size_t>(numComp), 0);
+  for (int l : labels) ++sizes[static_cast<std::size_t>(l)];
+  const int keep =
+      static_cast<int>(std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
+  std::vector<geom::Vec2> filtered;
+  filtered.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (labels[i] == keep) filtered.push_back(points[i]);
+  }
+  const int dropped = static_cast<int>(points.size() - filtered.size());
+  points = std::move(filtered);
+  return dropped;
 }
 
 Scenario makeScenario(const ScenarioParams& params) {

@@ -5,6 +5,7 @@
 
 #include "geom/polygon.hpp"
 #include "geom/vec2.hpp"
+#include "graph/graph.hpp"
 
 namespace hybrid::scenario {
 
@@ -43,6 +44,12 @@ Scenario makeScenario(const ScenarioParams& params);
 /// connectivity assumption.
 Scenario finalizeScenario(std::vector<geom::Vec2> points,
                           std::vector<geom::Polygon> obstacles, double radius);
+
+/// Keeps the points of the largest component of `udg`, the unit disk graph
+/// over `points` (the lowest component label wins a tie), in their order,
+/// so surviving node ids keep their relative order. Returns how many
+/// points were dropped.
+int keepLargestComponent(std::vector<geom::Vec2>& points, const graph::GeometricGraph& udg);
 
 /// Convenience: square deployment sized so that roughly `n` nodes survive
 /// obstacle carving (before connectivity filtering).

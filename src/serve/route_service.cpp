@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "delaunay/udg.hpp"
 #include "obs/metrics.hpp"
 #include "protocols/incremental.hpp"
 
@@ -26,30 +25,6 @@ bool duplicatesPoint(geom::Vec2 p, const std::vector<geom::Vec2>& points, int ex
     if (points[i] == p) return true;
   }
   return false;
-}
-
-/// finalizeScenario's largest-component rule, but order-preserving: node
-/// ids are indexes into the point vector, so the service must not re-sort
-/// points the way the generator does — surviving nodes keep their relative
-/// order and readers of the previous epoch can still interpret most ids.
-int keepLargestComponent(std::vector<geom::Vec2>& points, double radius) {
-  if (points.empty()) return 0;
-  const auto udg = delaunay::buildUnitDiskGraph(points, radius);
-  int numComp = 0;
-  const auto labels = udg.componentLabels(&numComp);
-  if (numComp <= 1) return 0;
-  std::vector<int> sizes(static_cast<std::size_t>(numComp), 0);
-  for (int l : labels) ++sizes[static_cast<std::size_t>(l)];
-  const int keep =
-      static_cast<int>(std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
-  std::vector<geom::Vec2> filtered;
-  filtered.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (labels[i] == keep) filtered.push_back(points[i]);
-  }
-  const int dropped = static_cast<int>(points.size() - filtered.size());
-  points = std::move(filtered);
-  return dropped;
 }
 
 /// Boundary rings as order-independent position sets. Positions rather
@@ -110,6 +85,7 @@ RouteService::RouteService(scenario::Scenario initial, ServiceOptions options)
   snap->build = EpochBuild::Full;
   snap->live_ = live_;
   live_->fetch_add(1, std::memory_order_relaxed);
+  rings_ = ringPositionSets(*snap->net);
   current_ = std::move(snap);
   HYBRID_OBS_STMT(if (obs::enabled()) {
     auto& reg = obs::Registry::global();
@@ -274,30 +250,42 @@ EpochStats RouteService::applyUpdates() {
   const auto prev = snapshot();
   scenario::Scenario next = prev->scenario;
   for (const auto& u : arrived) applyOne(u, next, stats);
-  if (next.points != prev->scenario.points) {
-    const int dropped = keepLargestComponent(next.points, next.radius);
+
+  // Same topology (the point set is the only network build input) means
+  // the previous epoch's network is provably identical: republish it.
+  const auto build = [&] {
+    if (next.points == prev->scenario.points) return prev->net;
+    return std::make_shared<const core::HybridNetwork>(next.points, options_.ldel,
+                                                       options_.router, &prev->net->router());
+  };
+  auto net = build();
+  if (net != prev->net) {
+    // The connectivity filter reads the epoch's own UDG; only a
+    // disconnected one costs a second build.
+    const int dropped = scenario::keepLargestComponent(next.points, net->udg());
     if (dropped > 0 && next.points.size() < kMinNodes) {
-      // The connectivity filter would break the node floor that applyOne
-      // keeps per update: reject the whole batch, keep the previous epoch.
+      // The filter would break the node floor that applyOne keeps per
+      // update: reject the whole batch, keep the previous epoch.
       next = prev->scenario;
       stats.rejected += stats.applied;
       stats.applied = 0;
       stats.evicted = 0;
-    } else {
+      net = prev->net;
+    } else if (dropped > 0) {
       stats.evicted += dropped;
+      net = build();
+      HYBRID_OBS_STMT(if (obs::enabled() && net != prev->net) {
+        obs::Registry::global().counter("serve.rebuilds.disconnected").add();
+      });
     }
   }
 
   auto snap = std::make_shared<Snapshot>();
   snap->epoch = stats.epoch;
-  if (next.points == prev->scenario.points) {
-    // Same topology (the point set is the only network build input), so
-    // the previous epoch's network is provably identical — republish it.
-    snap->net = prev->net;
+  snap->net = std::move(net);
+  if (snap->net == prev->net) {
     snap->build = EpochBuild::Reused;
   } else {
-    snap->net = std::make_shared<core::HybridNetwork>(next.points, options_.ldel,
-                                                      options_.router, &prev->net->router());
     snap->build = snap->net->router().adoptedDonorOverlay() ? EpochBuild::Incremental
                                                             : EpochBuild::Full;
   }
@@ -312,14 +300,12 @@ EpochStats RouteService::applyUpdates() {
     stats.changedRings = 0;
   } else {
     // E12-style membership diff: rings whose node *positions* changed.
-    const auto prevRings = ringPositionSets(*prev->net);
-    const auto curRings = ringPositionSets(*snap->net);
+    auto curRings = ringPositionSets(*snap->net);
     stats.totalRings = static_cast<int>(curRings.size());
     for (const auto& ring : curRings) {
-      if (std::find(prevRings.begin(), prevRings.end(), ring) == prevRings.end()) {
-        ++stats.changedRings;
-      }
+      if (std::find(rings_.begin(), rings_.end(), ring) == rings_.end()) ++stats.changedRings;
     }
+    rings_ = std::move(curRings);
   }
 
   switch (snap->build) {

@@ -151,6 +151,8 @@ class RouteService {
 
   // Updater-thread state.
   FaultyUpdateStream stream_;
+  /// The current epoch's boundary rings as sorted position sets.
+  std::vector<std::vector<geom::Vec2>> rings_;
   std::vector<EpochStats> history_;
   std::uint64_t fullRebuilds_ = 0;
   std::uint64_t incrementalRebuilds_ = 0;

@@ -144,6 +144,30 @@ TEST(RouteService, ConnectivityFilterKeepsTheFloor) {
   }
 }
 
+TEST(RouteService, ConnectivityFilterEvictsAStrandedNode) {
+  // Moving the last node of the line far away strands it: the epoch's UDG
+  // is disconnected, the filter evicts exactly that node, and the eight
+  // left on the line are rebuilt.
+  serve::RouteService service(lineDeployment());
+  const auto before = service.snapshot();
+  scenario::Update move;
+  move.kind = scenario::UpdateKind::Move;
+  move.node = 8;
+  move.pos = {20.0, 0.0};
+  service.enqueue(move);
+  const auto stats = service.applyUpdates();
+  EXPECT_EQ(stats.applied, 1);
+  EXPECT_EQ(stats.rejected, 0);
+  EXPECT_EQ(stats.evicted, 1);
+  EXPECT_NE(stats.build, serve::EpochBuild::Reused);
+  EXPECT_EQ(stats.nodes, serve::RouteService::kMinNodes);
+  const auto after = service.snapshot();
+  const auto& line = before->scenario.points;
+  EXPECT_EQ(after->scenario.points, std::vector<geom::Vec2>(line.begin(), line.end() - 1));
+  EXPECT_EQ(after->net->udg().numNodes(), serve::RouteService::kMinNodes);
+  expectMatchesFreshBuild(service);
+}
+
 TEST(RouteService, ObstacleOutsideDeploymentReusesNetwork) {
   serve::RouteService service(makeDeployment(74));
   scenario::Update add;
