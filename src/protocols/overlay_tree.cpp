@@ -307,10 +307,10 @@ int OverlayTree::computedHeight() const {
   return best;
 }
 
-OverlayTree buildOverlayTree(sim::Simulator& simulator, unsigned seed, int phases) {
+OverlayTree buildOverlayTree(sim::Simulator& simulator, unsigned seed) {
   const int n = static_cast<int>(simulator.numNodes());
   const int logn = std::max(1, static_cast<int>(std::ceil(std::log2(std::max(2, n)))));
-  if (phases <= 0) phases = 3 * logn + 10;
+  const int phases = 3 * logn + 10;
   const int budget = 3 * logn + 16;
 
   std::vector<TreeState> st(static_cast<std::size_t>(n));

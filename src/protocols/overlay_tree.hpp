@@ -27,8 +27,9 @@ struct OverlayTree {
   int computedHeight() const;
 };
 
-/// Runs the construction; `phases` <= 0 picks 2*ceil(log2 n) + 4.
-OverlayTree buildOverlayTree(sim::Simulator& simulator, unsigned seed = 1, int phases = 0);
+/// Runs the construction: 3*ceil(log2 n) + 10 phases of
+/// 3*ceil(log2 n) + 16 rounds each.
+OverlayTree buildOverlayTree(sim::Simulator& simulator, unsigned seed = 1);
 
 /// Convex hull distribution over the tree (paper §5.5): every node that
 /// flags itself as a hull node contributes (id, x, y); the lists are

@@ -109,10 +109,7 @@ PreprocessingOutputs runDistributedPreprocessing(const core::HybridNetwork& net,
     RingPipeline second(simulator, RingInputs{outerHoleRings}, retry);
     auto secondResults = second.run();
     rep.retransmissions += second.reliableStats().retransmissions;
-    rep.rings.pointerJumping += second.rounds().pointerJumping;
-    rep.rings.idAssignment += second.rounds().idAssignment;
-    rep.rings.aggregation += second.rounds().aggregation;
-    rep.rings.broadcast += second.rounds().broadcast;
+    rep.rings += second.rounds();
     for (std::size_t i = 0; i < outerHoleRings.size(); ++i) {
       rings.rings.push_back(outerHoleRings[i]);
       out.ringResults.push_back(std::move(secondResults[i]));

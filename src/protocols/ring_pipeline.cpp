@@ -415,6 +415,14 @@ class BroadcastDown : public sim::Protocol {
 
 }  // namespace
 
+RingPipelineRounds& RingPipelineRounds::operator+=(const RingPipelineRounds& o) {
+  pointerJumping += o.pointerJumping;
+  idAssignment += o.idAssignment;
+  aggregation += o.aggregation;
+  broadcast += o.broadcast;
+  return *this;
+}
+
 RingPipeline::RingPipeline(sim::Simulator& simulator, RingInputs inputs,
                            const RetryPolicy* retry)
     : sim_(simulator), inputs_(std::move(inputs)), withRetry_(retry != nullptr) {

@@ -30,6 +30,8 @@ struct RingPipelineRounds {
   int aggregation = 0;
   int broadcast = 0;
   int total() const { return pointerJumping + idAssignment + aggregation + broadcast; }
+
+  RingPipelineRounds& operator+=(const RingPipelineRounds& o);
 };
 
 /// Distributed computation on boundary rings (paper §5.2-§5.4), all rings

@@ -77,8 +77,6 @@ class HybridRouter : public Router {
   /// epoch's router (or a retiring snapshot's reader) keeps the slab alive
   /// for exactly as long as it is referenced.
   std::shared_ptr<const OverlayGraph> overlayPtr() const { return overlay_; }
-  /// The captured overlay build inputs (see OverlayPlan).
-  const OverlayPlan& overlayPlan() const { return overlayPlan_; }
   /// True when this router adopted its donor's overlay instead of building.
   bool adoptedDonorOverlay() const { return adoptedOverlay_; }
 

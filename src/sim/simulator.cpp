@@ -294,7 +294,6 @@ void Simulator::deliverChunk(Protocol& protocol, std::size_t b, std::size_t e, u
 int Simulator::run(Protocol& protocol, int maxRounds) {
   obs::ScopedSpan runSpan("sim.run");
   releaseAllInFlight();
-  round_ = 0;
   const std::size_t n = numNodes();
   unsigned threads = util::resolveThreads(threads_);
   if (!allowOversubscribe_) {
@@ -335,7 +334,6 @@ int Simulator::run(Protocol& protocol, int maxRounds) {
   int round = 0;
   while (round < maxRounds && (inFlight > 0 || protocol.wantsMoreRounds())) {
     ++round;
-    round_ = round;
     if (pending > 0) {
       HYBRID_OBS_STMT(if (obs::enabled()) {
         static obs::Histogram& hInbox = obs::Registry::global().histogram(
@@ -364,7 +362,6 @@ int Simulator::run(Protocol& protocol, int maxRounds) {
     }
     step(round, &Protocol::onRoundEnd);
   }
-  lastRounds_ = round;
   budget_.roundsUsed = round;
   budget_.overrun = budget_.budget > 0 && round > budget_.budget;
   flushObs(round);

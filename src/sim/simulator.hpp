@@ -94,13 +94,9 @@ class Simulator {
   long totalMessages() const;
   long maxWordsPerNode() const;
   long totalDropped() const;
-  int lastRounds() const { return lastRounds_; }
-  int currentRound() const { return round_; }
 
   /// Resets traffic statistics (knowledge is kept).
   void resetStats();
-
-  const FaultPlan& faultPlan() const { return faults_; }
 
   /// Worker threads for node stepping: 1 (default) steps nodes serially
   /// and is safe for any protocol; 0 resolves to the hardware concurrency.
@@ -119,7 +115,6 @@ class Simulator {
   /// use this so the parallel machinery (and its TSan coverage) does not
   /// silently degrade to serial on small CI boxes.
   void setAllowOversubscribe(bool on) { allowOversubscribe_ = on; }
-  bool allowOversubscribe() const { return allowOversubscribe_; }
 
   /// Thread count the last run() actually stepped with, after resolving 0
   /// and clamping; also surfaced as the obs gauge `sim.threads.effective`.
@@ -142,7 +137,6 @@ class Simulator {
   /// any thread count (enforced by sim_threads_test).
   void enableTrace(bool on = true) { traceEnabled_ = on; }
   const std::string& trace() const { return trace_; }
-  void clearTrace() { trace_.clear(); }
 
   /// Test introspection into sharded delivery: shards retained across runs
   /// (0 before any), and the slot count of one shard's private MessagePool.
@@ -237,8 +231,6 @@ class Simulator {
   SendTap* tap_ = nullptr;
   bool traceEnabled_ = false;
   std::string trace_;
-  int lastRounds_ = 0;
-  int round_ = 0;
   int threads_ = 1;
   int effectiveThreads_ = 1;
   bool allowOversubscribe_ = false;
@@ -261,9 +253,7 @@ class Context {
   int self() const { return self_; }
   int round() const { return round_; }
   geom::Vec2 position() const { return sim_.position(self_); }
-  geom::Vec2 positionOf(int v) const { return sim_.position(v); }
   std::span<const int> udgNeighbors() const { return sim_.udg().neighbors(self_); }
-  std::size_t networkSize() const { return sim_.numNodes(); }
   bool knows(int id) const { return sim_.knows(self_, id); }
 
   /// Sends over an ad hoc edge; `to` must be a UDG neighbor.

@@ -10,8 +10,7 @@
 namespace hybrid::testkit {
 
 /// One generated fuzz input: the scenario plus the provenance needed to
-/// regenerate it bit-identically (`makeCase(generatorIndexOf(generator),
-/// seed)` or `findGenerator(generator)->make(seed)`).
+/// regenerate it bit-identically (`findGenerator(generator)->make(seed)`).
 struct GeneratedCase {
   std::string generator;
   std::uint64_t seed = 0;

@@ -1135,16 +1135,6 @@ InjectedBug parseInjectedBug(std::string_view name) {
   return InjectedBug::None;
 }
 
-const char* routerKindName(RouterKind kind) {
-  switch (kind) {
-    case RouterKind::Stateless:
-      return "stateless";
-    case RouterKind::Centralized:
-      break;
-  }
-  return "centralized";
-}
-
 std::optional<RouterKind> parseRouterKind(std::string_view name) {
   if (name == "centralized") return RouterKind::Centralized;
   if (name == "stateless") return RouterKind::Stateless;

@@ -38,9 +38,8 @@ enum class RouterKind {
   Stateless,
 };
 
-const char* routerKindName(RouterKind kind);
-/// Parses routerKindName() spelling ("centralized" | "stateless");
-/// nullopt for anything else.
+/// Parses a router kind's spelling ("centralized" | "stateless"); nullopt
+/// for anything else.
 std::optional<RouterKind> parseRouterKind(std::string_view name);
 
 /// Verdict of one oracle on one case. `skipped` marks an oracle that chose

@@ -21,11 +21,4 @@ std::mt19937 loggedRng(const std::string& name, std::uint64_t pinnedSeed) {
   return std::mt19937(static_cast<std::uint32_t>(s));
 }
 
-std::mt19937_64 loggedRng64(const std::string& name, std::uint64_t pinnedSeed) {
-  const std::uint64_t s = testSeed(pinnedSeed);
-  std::printf("[testkit] rng %s seed=%llu\n", name.c_str(),
-              static_cast<unsigned long long>(s));
-  return std::mt19937_64(s);
-}
-
 }  // namespace hybrid::testkit

@@ -38,7 +38,4 @@ std::uint64_t testSeed(std::uint64_t pinned);
 /// unless HYBRID_TEST_SEED overrides it.
 std::mt19937 loggedRng(const std::string& name, std::uint64_t pinnedSeed);
 
-/// 64-bit variant for testkit-internal streams.
-std::mt19937_64 loggedRng64(const std::string& name, std::uint64_t pinnedSeed);
-
 }  // namespace hybrid::testkit
